@@ -6,19 +6,19 @@ automorphism group, orthogonal decomposition into indecomposable blocks,
 and representation fingerprints (r(1), ..., r(M)).
 
 All search is exact: coordinate brackets come from the rational Cholesky
-splitting of the Gram matrix and every partial sum is a Fraction, so no
-vector is missed and none is counted twice.
+splitting of the Gram matrix, scaled so that every partial sum is an
+integer, so no vector is missed and none is counted twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetExceeded
 from .exact import (
     NotPositiveDefinite,  # noqa: F401  (part of this module's surface)
     column_hermite_form,
+    common_denominator,
     determinant,
     dot,
     freeze,
@@ -39,45 +39,67 @@ def _as_form(G) -> GramForm:
     return G if isinstance(G, GramForm) else GramForm(G)
 
 
-def _vectors_up_to(gram, bound):
-    """All nonzero integer vectors with f(v) <= bound, both signs.
+def _walk(gram, bound, visit):
+    """Visit every nonzero integer vector with f(v) <= bound, both signs.
 
-    Returns (vector, norm) pairs.  Coordinates are fixed from the last to
-    the first; at each level the admissible integers form a contiguous
-    range around the real minimum of the quadratic, so scanning outward
-    and stopping at the first violation is exhaustive.
+    Calls visit(x, norm) with the coordinate list x (reused between
+    calls) and stops the walk as soon as visit returns a true value;
+    returns whether it stopped early.  Coordinates are fixed from the
+    last to the first; at each level the admissible integers form a
+    contiguous range around the real minimum of the quadratic, so
+    scanning outward and stopping at the first violation is exhaustive.
+
+    The split f(x) = sum_i d_i (x_i + c_i)^2 runs on integers: with den_i
+    the common denominator of row i of u and S one clearing every
+    d_i / den_i^2, S f(x) = sum_i w_i (den_i x_i + den_i c_i)^2.
     """
     d, u = rational_cholesky(gram)
     n = len(d)
-    out = []
+    den = [common_denominator(u[i][i + 1:]) for i in range(n)]
+    scale = common_denominator(d[i] / den[i] ** 2 for i in range(n))
+    w = [int(scale * d[i] / den[i] ** 2) for i in range(n)]
+    rows = [[int(den[i] * u[i][j]) for j in range(n)] for i in range(n)]
     x = [0] * n
 
     def walk(i, remaining):
         if i < 0:
-            if any(x):
-                out.append((tuple(x), int(bound - remaining)))
-            return
-        c = Fraction(0)
+            return any(x) and visit(x, bound - remaining // scale)
+        row, di, wi = rows[i], den[i], w[i]
+        c = 0
         for j in range(i + 1, n):
             if x[j]:
-                c += u[i][j] * x[j]
-        # the quadratic in x_i is minimized at -c; ceil(-c) starts the
-        # upward scan on the monotone side, ceil(-c) - 1 the downward one
-        top = -(c.numerator // c.denominator)
-        xi = top
-        while d[i] * (xi + c) ** 2 <= remaining:
-            x[i] = xi
-            walk(i - 1, remaining - d[i] * (xi + c) ** 2)
-            xi += 1
-        xi = top - 1
-        while d[i] * (xi + c) ** 2 <= remaining:
-            x[i] = xi
-            walk(i - 1, remaining - d[i] * (xi + c) ** 2)
-            xi -= 1
+                c += row[j] * x[j]
+        # the quadratic in x_i is minimized at -c/di; ceil(-c/di) starts the
+        # upward scan on the monotone side, ceil(-c/di) - 1 the downward one
+        top = -(c // di)
+        for xi, step in ((top, 1), (top - 1, -1)):
+            while (q := wi * (di * xi + c) ** 2) <= remaining:
+                x[i] = xi
+                if walk(i - 1, remaining - q):
+                    return True
+                xi += step
         x[i] = 0
+        return False
 
-    walk(n - 1, Fraction(bound))
+    return walk(n - 1, scale * bound)
+
+
+def _vectors_up_to(gram, bound):
+    """All (vector, norm) pairs with 0 < f(v) <= bound, both signs."""
+    out = []
+    _walk(gram, bound, lambda x, norm: out.append((tuple(x), norm)))
     return out
+
+
+def _norm_counts(gram, bound):
+    """counts[k] = #{v : f(v) = k} for 0 < k <= bound, without listing v."""
+    counts = [0] * (bound + 1)
+
+    def tally(x, norm):
+        counts[norm] += 1
+
+    _walk(gram, bound, tally)
+    return counts
 
 
 def _canonical(pairs):
@@ -125,7 +147,7 @@ def representation_count(G, m):
     G = _as_form(G)
     if m < 1:
         raise ValueError("m must be >= 1")
-    return sum(1 for _, norm in _vectors_up_to(G.matrix, m) if norm == m)
+    return _norm_counts(G.matrix, m)[m]
 
 
 def fingerprint(G, M):
@@ -133,10 +155,7 @@ def fingerprint(G, M):
     G = _as_form(G)
     if M < 1:
         raise ValueError("M must be >= 1")
-    counts = [0] * (M + 1)
-    for _, norm in _vectors_up_to(G.matrix, M):
-        counts[norm] += 1
-    return tuple(counts[1:])
+    return tuple(_norm_counts(G.matrix, M)[1:])
 
 
 def represents(G, m):
@@ -144,34 +163,7 @@ def represents(G, m):
     G = _as_form(G)
     if m < 1:
         raise ValueError("m must be >= 1")
-    d, u = rational_cholesky(G.matrix)
-    n = len(d)
-    x = [0] * n
-
-    def walk(i, remaining):
-        if i < 0:
-            return remaining == 0
-        c = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                c += u[i][j] * x[j]
-        top = -(c.numerator // c.denominator)
-        xi = top
-        while d[i] * (xi + c) ** 2 <= remaining:
-            x[i] = xi
-            if walk(i - 1, remaining - d[i] * (xi + c) ** 2):
-                return True
-            xi += 1
-        xi = top - 1
-        while d[i] * (xi + c) ** 2 <= remaining:
-            x[i] = xi
-            if walk(i - 1, remaining - d[i] * (xi + c) ** 2):
-                return True
-            xi -= 1
-        x[i] = 0
-        return False
-
-    return walk(n - 1, Fraction(m))
+    return _walk(G.matrix, m, lambda x, norm: norm == m)
 
 
 def automorphism_order(G, *, dim_limit=8):

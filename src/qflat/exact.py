@@ -2,16 +2,18 @@
 
 Matrices are immutable tuples of row tuples and vectors are plain tuples.
 Entries are Python ints or fractions.Fraction, so nothing here ever rounds.
-The module supplies the kernel every higher layer leans on: Smith normal
-form with a deterministic pivot rule, canonical Hermite forms for lattice
-spans, integral kernels, and an LDL-style rational Cholesky split used by
-the vector enumerator.
+The module supplies the kernel every higher layer leans on: one forward
+Gaussian elimination (determinants, rank, inverses, solves and span
+coordinates), one symmetric congruence elimination (signatures and the
+LDL-style rational Cholesky split used by the vector enumerator), Smith
+normal form with a deterministic pivot rule, canonical Hermite forms for
+lattice spans, and integral kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Sequence
 
 
@@ -59,21 +61,9 @@ def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 
 
-def scale_matrix(c, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def is_symmetric(a: Matrix) -> bool:
     n, m = shape(a)
     return n == m and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
-
-
-def is_integral(a: Matrix) -> bool:
-    return all(Fraction(x).denominator == 1 for row in a for x in row)
 
 
 def content(v: Sequence[int]) -> int:
@@ -91,56 +81,91 @@ def primitive_part(v: Sequence[int]) -> tuple:
     return tuple(int(x) // g for x in v)
 
 
+def common_denominator(values) -> int:
+    """Least common multiple of the denominators of ints and Fractions."""
+    return lcm(*(Fraction(x).denominator for x in values))
+
+
+# ---------------------------------------------------------------------------
+# Gaussian elimination over the rationals
+# ---------------------------------------------------------------------------
+
+
+def _forward(rows: list, ncols: int) -> tuple[list, int]:
+    """Row-reduce `rows` in place to echelon form on the first ncols columns.
+
+    Rows are lists of Fractions and may run past ncols (augmented
+    columns follow along). The pivot is the first nonzero entry at or
+    below the current row; zero multipliers and zero pivot-row entries are
+    skipped, which keeps sparse inputs cheap. Entries below a pivot are
+    left stale, as nothing reads them. Returns the pivot columns (pivot r
+    sits in row r) and the sign of the row permutation.
+    """
+    pivots = []
+    sign = 1
+    nrows = len(rows)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        inv = 1 / prow[col]
+        nz = [j for j in range(col + 1, len(prow)) if prow[j]]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            if row[col]:
+                f = row[col] * inv
+                for j in nz:
+                    row[j] -= f * prow[j]
+        pivots.append(col)
+    return pivots, sign
+
+
+def _back_substitute(rows: list, pivots: list) -> None:
+    """Turn echelon rows from _forward into reduced echelon form in place."""
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        prow = rows[r]
+        nz = [j for j in range(col, len(prow)) if prow[j]]
+        inv = 1 / prow[col]
+        for j in nz:
+            prow[j] *= inv
+        for i in range(r):
+            row = rows[i]
+            f = row[col]
+            if f:
+                for j in nz:
+                    row[j] -= f * prow[j]
+
+
+def _fraction_rows(a: Matrix, extra=None) -> list:
+    rows = [[Fraction(x) for x in row] for row in a]
+    if extra is not None:
+        for row, tail in zip(rows, extra):
+            row.extend(Fraction(x) for x in tail)
+    return rows
+
+
 def determinant(a: Matrix):
-    """Exact determinant; Bareiss on integer input, Gauss on rationals."""
+    """Exact determinant; an int for integer input, else a Fraction."""
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
+    rows = _fraction_rows(a)
+    pivots, sign = _forward(rows, n)
+    det = sign * prod(rows[i][i] for i in range(n)) if len(pivots) == n else 0
     if all(isinstance(x, int) for row in a for x in row):
-        return _det_bareiss([list(row) for row in a])
-    return _det_gauss([[Fraction(x) for x in row] for row in a])
+        return int(det)
+    return Fraction(det)
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def _det_gauss(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
+def rank(a: Matrix) -> int:
+    """Rank over the rationals."""
+    return len(_forward(_fraction_rows(a), shape(a)[1])[0])
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -148,29 +173,34 @@ def mat_inverse(a: Matrix) -> Matrix:
     n, m = shape(a)
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    work = [[Fraction(x) for x in row] for row in a]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            inv[k], inv[piv] = inv[piv], inv[k]
-        d = work[k][k]
-        work[k] = [x / d for x in work[k]]
-        inv[k] = [x / d for x in inv[k]]
-        for i in range(n):
-            if i != k and work[i][k]:
-                f = work[i][k]
-                work[i] = [x - f * y for x, y in zip(work[i], work[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    return freeze(inv)
+    rows = _fraction_rows(a, identity(n))
+    pivots, _ = _forward(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    _back_substitute(rows, pivots)
+    return freeze(row[n:] for row in rows)
+
+
+def span_coordinates(a: Matrix, b: Sequence):
+    """x with a x = b for a with independent columns, or None when b lies
+    outside the column span; raises SingularMatrix on dependent columns."""
+    cols = shape(a)[1]
+    rows = _fraction_rows(a, ((x,) for x in b))
+    pivots, _ = _forward(rows, cols)
+    if len(pivots) < cols:
+        raise SingularMatrix("columns are dependent")
+    if any(row[cols] for row in rows[cols:]):
+        return None
+    _back_substitute(rows, pivots)
+    return tuple(row[cols] for row in rows[:cols])
 
 
 def solve(a: Matrix, b: Sequence) -> tuple:
     """Solve a x = b exactly over the rationals (a square nonsingular)."""
-    return mat_vec(mat_inverse(a), tuple(Fraction(x) for x in b))
+    n, m = shape(a)
+    if n != m:
+        raise ValueError("solve with a non-square matrix")
+    return span_coordinates(a, b)
 
 
 def charpoly(a: Matrix) -> tuple:
@@ -387,28 +417,67 @@ def kernel_basis_int(a: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def congruence_diagonal(g: Matrix) -> tuple[tuple, Matrix, int | None]:
+    """Diagonalize a symmetric matrix by congruence, pivoting in index order.
+
+    Returns (d, u, first_repair). While no pivot has been zero,
+    g = u^T diag(d) u with u unit upper triangular. A zero pivot at index
+    i is repaired by exchanging i with the first later index whose
+    diagonal entry is nonzero or, failing that, by e_i += e_j for the
+    first later j with g_ij != 0 (which makes the pivot 2 g_ij); then d
+    still carries the inertia of g but u no longer splits it, and
+    first_repair is the first such i. A zero pivot with no partner is in
+    the radical and stays 0 in d.
+    """
+    n, m = shape(g)
+    if n != m or not is_symmetric(g):
+        raise ValueError("expected a symmetric square matrix")
+    w = [[Fraction(x) for x in row] for row in g]
+    u = [list(row) for row in identity(n, Fraction(1))]
+    d = []
+    first_repair = None
+    for i in range(n):
+        if not w[i][i]:
+            j = next((j for j in range(i + 1, n) if w[j][j]), None)
+            if j is not None:
+                w[i], w[j] = w[j], w[i]
+                for row in w:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if w[i][j]), None)
+                if j is not None:
+                    for t in range(i, n):
+                        w[i][t] += w[j][t]
+                    for t in range(i, n):
+                        w[t][i] += w[t][j]
+            if first_repair is None:
+                first_repair = i
+        piv = w[i][i]
+        d.append(piv)
+        if not piv:
+            continue
+        wi = w[i]
+        nz = [k for k in range(i + 1, n) if wi[k]]
+        for a, j in enumerate(nz):
+            c = u[i][j] = wi[j] / piv
+            wj = w[j]
+            for k in nz[a:]:
+                wj[k] -= c * wi[k]
+                w[k][j] = wj[k]
+    return tuple(d), freeze(u), first_repair
+
+
 def rational_cholesky(g: Matrix) -> tuple[tuple, Matrix]:
     """Split a symmetric positive definite matrix as g = u^T diag(d) u.
 
     u is unit upper triangular and every entry is an exact Fraction. The
-    split underlies the enumerator's coordinate-by-coordinate bounds. A
-    nonpositive pivot aborts with NotPositiveDefinite.
+    split underlies the enumerator's coordinate-by-coordinate bounds. The
+    first nonpositive pivot aborts with NotPositiveDefinite.
     """
-    n, m = shape(g)
-    if n != m or not is_symmetric(g):
-        raise ValueError("cholesky expects a symmetric square matrix")
-    w = [[Fraction(g[i][j]) for j in range(n)] for i in range(n)]
-    u = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    d = []
-    for i in range(n):
-        piv = w[i][i]
-        if piv <= 0:
-            raise NotPositiveDefinite(f"pivot {piv} at index {i}")
-        d.append(piv)
-        for j in range(i + 1, n):
-            u[i][j] = w[i][j] / piv
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                w[j][k] -= w[i][j] * w[i][k] / piv
-                w[k][j] = w[j][k]
-    return tuple(d), freeze(u)
+    d, u, repair = congruence_diagonal(g)
+    bad = next((i for i, p in enumerate(d[:repair]) if p < 0), repair)
+    if bad is not None:
+        piv = 0 if bad == repair else d[bad]
+        raise NotPositiveDefinite(
+            f"form is not positive definite (pivot {piv} at index {bad})")
+    return d, u

@@ -59,45 +59,10 @@ class GramForm:
     @cached_property
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia indices, computed exactly."""
-        n = self.n
-        w = [[Fraction(x) for x in row] for row in self.matrix]
-        pos = neg = 0
-        active = list(range(n))
-        while active:
-            k = next((i for i in active if w[i][i] != 0), None)
-            if k is None:
-                pair = next(
-                    (
-                        (i, j)
-                        for i in active
-                        for j in active
-                        if i != j and w[i][j] != 0
-                    ),
-                    None,
-                )
-                if pair is None:
-                    raise SingularFormError("form is degenerate")
-                i, j = pair
-                # e_i := e_i + e_j turns the off-diagonal entry into a diagonal one
-                for t in range(n):
-                    w[i][t] += w[j][t]
-                for t in range(n):
-                    w[t][i] += w[t][j]
-                k = i
-            piv = w[k][k]
-            if piv > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(k)
-            for i in active:
-                f = w[i][k] / piv
-                if f:
-                    for j in active:
-                        w[i][j] -= f * w[k][j]
-                    w[i][k] = Fraction(0)
-                    w[k][i] = Fraction(0)
-        if pos + neg != n:
+        d, _, _ = exact.congruence_diagonal(self.matrix)
+        pos = sum(1 for x in d if x > 0)
+        neg = sum(1 for x in d if x < 0)
+        if pos + neg != self.n:
             raise SingularFormError("form is degenerate")
         return (pos, neg)
 
@@ -167,25 +132,6 @@ def parse_gram_text(text: str) -> GramForm:
                     f"{rows[i][j]} != {rows[j][i]}"
                 )
     return GramForm(rows)
-
-
-def parse_matrix_text(text: str) -> exact.Matrix:
-    """Parse an integer matrix in the same layout, without the symmetry check."""
-    tokens_by_line = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            tokens_by_line.append(body.split())
-    if not tokens_by_line:
-        raise GramFormatError("empty input")
-    head = tokens_by_line[0]
-    if len(head) != 1:
-        raise GramFormatError("first line must hold the dimension only")
-    n = int(head[0])
-    flat = [int(tok) for line in tokens_by_line[1:] for tok in line]
-    if len(flat) != n * n:
-        raise GramFormatError(f"expected {n * n} entries, found {len(flat)}")
-    return exact.freeze([flat[i * n : (i + 1) * n] for i in range(n)])
 
 
 def identity_form(n: int) -> GramForm:

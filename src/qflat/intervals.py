@@ -55,11 +55,6 @@ class Interval:
     def point(x) -> "Interval":
         return Interval(Fraction(x))
 
-    @staticmethod
-    def hull(values) -> "Interval":
-        vals = [Fraction(v) for v in values]
-        return Interval(min(vals), max(vals))
-
     # -- predicates --------------------------------------------------------
 
     def contains(self, x) -> bool:
@@ -82,9 +77,6 @@ class Interval:
 
     def is_ge(self, bound) -> bool:
         return self.lo >= Fraction(bound)
-
-    def strictly_inside(self, lo, hi) -> bool:
-        return Fraction(lo) <= self.lo and self.hi <= Fraction(hi)
 
     def disjoint(self, other: "Interval") -> bool:
         return self.hi < other.lo or other.hi < self.lo

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-
-import sympy
+from math import gcd, isqrt
 
 from . import exact
 from .gram import GramForm
@@ -40,7 +38,7 @@ class Lattice:
             raise ValueError("lattice needs at least one basis vector")
         self.basis = b
         self.rank = cols
-        if _column_rank(b) != cols:
+        if exact.rank(b) != cols:
             raise ValueError("basis columns are dependent")
 
     @staticmethod
@@ -70,18 +68,12 @@ class Lattice:
     @cached_property
     def canonical_key(self):
         """(integer column Hermite form, denominator), unique per span."""
-        den = 1
-        for row in self.basis:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
+        den = exact.common_denominator(x for row in self.basis for x in row)
         m = tuple(
             tuple(int(x * den) for x in row) for row in self.basis
         )
         h = exact.column_hermite_form(m)
-        g = den
-        for row in h:
-            for x in row:
-                g = gcd(g, x)
+        g = gcd(den, exact.content(x for row in h for x in row))
         if g > 1:
             h = tuple(tuple(x // g for x in row) for row in h)
             den //= g
@@ -104,57 +96,11 @@ class Lattice:
 
     def coordinates(self, v):
         """Rational coordinates of v in this basis, or None when outside the span."""
-        aug = [
-            [Fraction(self.basis[i][j]) for j in range(self.rank)]
-            + [Fraction(v[i])]
-            for i in range(self.ambient.n)
-        ]
-        # forward elimination with partial (first nonzero) pivoting
-        row = 0
-        pivots = []
-        for col in range(self.rank):
-            piv = next((i for i in range(row, len(aug)) if aug[i][col] != 0), None)
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            d = aug[row][col]
-            aug[row] = [x / d for x in aug[row]]
-            for i in range(len(aug)):
-                if i != row and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-            pivots.append(col)
-            row += 1
-        # consistency: rows below the pivot block must have zero RHS
-        for i in range(row, len(aug)):
-            if aug[i][self.rank] != 0:
-                return None
-        coords = [Fraction(0)] * self.rank
-        for r, col in enumerate(pivots):
-            coords[col] = aug[r][self.rank]
-        return tuple(coords)
+        return exact.span_coordinates(self.basis, v)
 
     def contains(self, v) -> bool:
         coords = self.coordinates(v)
         return coords is not None and all(c.denominator == 1 for c in coords)
-
-
-def _column_rank(b) -> int:
-    rows, cols = exact.shape(b)
-    work = [[Fraction(x) for x in row] for row in b]
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        d = work[rank][col]
-        for i in range(rank + 1, rows):
-            if work[i][col] != 0:
-                f = work[i][col] / d
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
 
 
 def _canonical_lattice(ambient: GramForm, int_columns, den: int) -> Lattice:
@@ -181,11 +127,8 @@ def scale_lattice(lat: Lattice, c) -> Lattice:
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     if a.ambient != b.ambient:
         raise ValueError("lattices live in different quadratic spaces")
-    den = 1
-    for lat in (a, b):
-        for row in lat.basis:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
+    den = exact.common_denominator(
+        x for lat in (a, b) for row in lat.basis for x in row)
     cols = []
     for lat in (a, b):
         for j in range(lat.rank):
@@ -198,11 +141,8 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
     """All vectors lying in both lattices, via an integer kernel computation."""
     if a.ambient != b.ambient:
         raise ValueError("lattices live in different quadratic spaces")
-    den = 1
-    for lat in (a, b):
-        for row in lat.basis:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
+    den = exact.common_denominator(
+        x for lat in (a, b) for row in lat.basis for x in row)
     am = tuple(
         tuple(int(x * den) for x in row) for row in a.basis
     )
@@ -222,10 +162,7 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
         x = tuple(kern[i][j] for i in range(a.rank))
         vec = exact.mat_vec(a.basis, x)
         cols.append(vec)
-    den2 = 1
-    for vec in cols:
-        for val in vec:
-            den2 = den2 * val.denominator // gcd(den2, val.denominator)
+    den2 = exact.common_denominator(val for vec in cols for val in vec)
     int_cols = tuple(tuple(int(v * den2) for v in vec) for vec in cols)
     return _canonical_lattice(a.ambient, exact.transpose(exact.freeze(int_cols)), den2)
 
@@ -272,15 +209,8 @@ def saturate(lat: Lattice) -> Lattice:
     current = lat
     while True:
         facs = invariant_factors(current)
-        bad = sorted(
-            {
-                int(p)
-                for f in facs
-                if f not in (0, 1)
-                for p, e in sympy.factorint(int(f)).items()
-                if e >= 2
-            }
-        )
+        bad = sorted({p for f in facs if f not in (0, 1)
+                      for p in _square_primes(f)})
         if not bad:
             return current
         p = bad[0]
@@ -295,3 +225,26 @@ def saturate(lat: Lattice) -> Lattice:
         if not bigger.is_classically_integral:
             raise RuntimeError("saturation produced a non-integral lattice")
         current = bigger
+
+
+def _square_primes(f: int) -> set:
+    """Primes p with p^2 dividing f >= 1.
+
+    Trial division stops once d^3 exceeds what is left of f. The cofactor
+    then has at most two prime factors, all at least d, so it is 1, p, pq
+    or p^2, and only p^2 is a perfect square.
+    """
+    out = set()
+    d = 2
+    while d * d * d <= f:
+        if f % d == 0:
+            f //= d
+            if f % d == 0:
+                out.add(d)
+            while f % d == 0:
+                f //= d
+        d += 1 if d == 2 else 2
+    r = isqrt(f)
+    if r > 1 and r * r == f:
+        out.add(r)
+    return out

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from .errors import BudgetExceeded
-from .exact import freeze, determinant, identity, mat_mul, transpose
-from .gram import GramForm
+from .exact import freeze, determinant, mat_mul, transpose
+from .gram import GramForm, orthogonal_sum
 from .intervals import (
     Interval,
     acosh_interval,  # noqa: F401  (re-exported for callers of this module)
@@ -194,17 +194,26 @@ def _unit_count(nu, det_unit, p, k, m):
     return base
 
 
-def _count_unit_form(gram, p, k, m):
-    n = len(gram)
-    det = determinant(gram)
-    return _unit_count(n, det % p, p, k, m)
-
-
 # ---------------------------------------------------------------------------
 # backend: odd p dividing det -- Jordan blocks + convolution
 
 
-def _count_jordan_convolution(blocks, n, p, k, m, budget):
+def _cyclic_convolution(vectors, mod):
+    """Count vector of a sum mod `mod` from the count vectors of its terms."""
+    total = [0] * mod
+    total[0] = 1
+    for vec in vectors:
+        new = [0] * mod
+        for a, ca in enumerate(total):
+            if ca:
+                for b, cb in enumerate(vec):
+                    if cb:
+                        new[(a + b) % mod] += ca * cb
+        total = new
+    return total
+
+
+def _count_jordan_convolution(blocks, p, k, m, budget):
     """Count solutions mod p^k from a Jordan decomposition at odd p.
 
     `blocks` is a list of (exponent, units) pairs; the form is the
@@ -217,8 +226,7 @@ def _count_jordan_convolution(blocks, n, p, k, m, budget):
         raise BudgetExceeded(
             f"convolution table of size {mod}^2 exceeds budget {budget}"
         )
-    total = [0] * mod
-    total[0] = 1
+    vectors = []
     for exp, units in blocks:
         nu = len(units)
         det_unit = 1
@@ -235,14 +243,8 @@ def _count_jordan_convolution(blocks, n, p, k, m, budget):
                 c = _unit_count(nu, det_unit, p, kk, r0)
                 if c:
                     vec[(r0 * scale) % mod] = c * lift
-        new = [0] * mod
-        for a, ca in enumerate(total):
-            if ca:
-                for b, cb in enumerate(vec):
-                    if cb:
-                        new[(a + b) % mod] += ca * cb
-        total = new
-    return total[m % mod]
+        vectors.append(vec)
+    return _cyclic_convolution(vectors, mod)[m % mod]
 
 
 # ---------------------------------------------------------------------------
@@ -255,79 +257,78 @@ def _count_jordan_convolution(blocks, n, p, k, m, budget):
 # counts at every level.
 
 
-def _frac_mod(q, mod):
-    """Reduce a Fraction with odd denominator modulo a power of two."""
+def _frac_mod(q, p, mod):
+    """Reduce a Fraction with a p-adic unit denominator modulo mod = p^K."""
     den = q.denominator
-    if den % 2 == 0:
-        raise ValueError("denominator not a 2-adic unit")
+    if den % p == 0:
+        raise ValueError("denominator not a p-adic unit")
     return (q.numerator * pow(den, -1, mod)) % mod
 
 
-def _two_adic_pieces(gram):
-    """Orthogonal pieces of dimension <= 2, as exact Fraction grams."""
+def _valuation_sweep(gram, p):
+    """Split a nondegenerate symmetric matrix over Z_p, one pivot at a time.
+
+    Each step pivots on a live entry of least p-adic valuation v,
+    preferring the first diagonal entry of valuation v.  When only an
+    off-diagonal entry (i, j) reaches v, odd p folds e_j into e_i, which
+    surfaces a diagonal pivot of valuation exactly v (2 is a unit), and
+    p = 2 takes the 2x2 block on (i, j), whose determinant has valuation
+    exactly 2v.  The remaining basis vectors are projected off the pivot
+    block in exact Fractions; every coefficient is p-integral, so the
+    transformation is invertible over Z/p^k and keeps solution counts.
+
+    Yields (v, i, j, block, coeff) per step: the pivot index i, the fold
+    or block partner j (None for a diagonal pivot), the Gram matrix of
+    the block split off, and for each remaining live index t the
+    multipliers of the pivot columns subtracted from column t.
+    """
     n = len(gram)
-    work = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    work = [[Fraction(x) for x in row] for row in gram]
     live = list(range(n))
-    pieces = []
 
     def val(q):
-        if q == 0:
-            return None
-        num = abs(q.numerator)
-        return _vp(num, 2)
+        return _vp(q.numerator, p) - _vp(q.denominator, p)
 
     while live:
-        if len(live) == 1:
-            i = live[0]
-            pieces.append(((work[i][i],),))
-            break
         best = None
         for a, i in enumerate(live):
             for j in live[a:]:
-                v = val(work[i][j])
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
+                if work[i][j] and (best is None or val(work[i][j]) < best[0]):
+                    best = (val(work[i][j]), i, j)
         if best is None:
-            for i in live:
-                pieces.append(((Fraction(0),),))
-            break
+            raise ValueError("form is degenerate over Z_p")
         v, i, j = best
-        diag = [t for t in live if val(work[t][t]) is not None
-                and val(work[t][t]) == v]
-        if diag:
-            i = diag[0]
-            piv = work[i][i]
-            rest = [t for t in live if t != i]
-            coeff = {t: work[i][t] / piv for t in rest}
-            for s in rest:
-                for t in rest:
-                    work[s][t] -= coeff[s] * piv * coeff[t]
-            pieces.append(((piv,),))
-            live = rest
+        diag = next((t for t in live
+                     if work[t][t] and val(work[t][t]) == v), None)
+        if diag is not None:
+            i, j = diag, None
+        elif p != 2:
+            for t in live:
+                work[t][i] += work[t][j]
+            for t in live:
+                work[i][t] += work[j][t]
+            assert val(work[i][i]) == v
+        pivot = (i,) if j is None or p != 2 else (i, j)
+        block = tuple(tuple(work[a][b] for b in pivot) for a in pivot)
+        if len(pivot) == 1:
+            inv = ((1 / block[0][0],),)
         else:
-            a, b, c = work[i][i], work[i][j], work[j][j]
+            (a, b), (_, c) = block
             det = a * c - b * b
-            rest = [t for t in live if t not in (i, j)]
-            # project e_s off span(e_i, e_j): coefficients from the
-            # inverse of the 2x2 block (its determinant is a 2-adic unit
-            # times 4^v, and the inner products carry enough 2-power)
-            coeffs = {}
-            for s in rest:
-                gi, gj = work[i][s], work[j][s]
-                coeffs[s] = ((c * gi - b * gj) / det,
-                             (a * gj - b * gi) / det)
-            for s in rest:
-                gis, gjs = work[i][s], work[j][s]
-                for t in rest:
-                    if t < s:
-                        continue
-                    ci_t, cj_t = coeffs[t]
-                    new = work[s][t] - ci_t * gis - cj_t * gjs
-                    work[s][t] = new
-                    work[t][s] = new
-            pieces.append(((a, b), (b, c)))
-            live = rest
-    return pieces
+            inv = ((c / det, -b / det), (-b / det, a / det))
+        live = [t for t in live if t not in pivot]
+        coeff = {t: tuple(sum(r[k] * work[q][t] for k, q in enumerate(pivot))
+                          for r in inv)
+                 for t in live}
+        for a, s in enumerate(live):
+            ws = [work[q][s] for q in pivot]
+            for t in live[a:]:
+                new = work[s][t]
+                for c, w in zip(coeff[t], ws):
+                    if c:
+                        new -= c * w
+                work[s][t] = work[t][s] = new
+        yield v, i, j, block, coeff
 
 
 def _piece_count_vector(piece, k):
@@ -335,13 +336,12 @@ def _piece_count_vector(piece, k):
     mod = 2 ** k
     vec = [0] * mod
     if len(piece) == 1:
-        d = _frac_mod(Fraction(piece[0][0]), mod)
+        d = _frac_mod(piece[0][0], 2, mod)
         for x in range(mod):
             vec[(d * x * x) % mod] += 1
     else:
-        a = _frac_mod(Fraction(piece[0][0]), mod)
-        b = _frac_mod(Fraction(piece[0][1]), mod)
-        c = _frac_mod(Fraction(piece[1][1]), mod)
+        a, b, c = (_frac_mod(x, 2, mod)
+                   for x in (piece[0][0], piece[0][1], piece[1][1]))
         for x in range(mod):
             ax2 = a * x * x
             bx2 = 2 * b * x
@@ -356,18 +356,8 @@ def _count_two_adic(pieces, p, k, m, budget):
         raise BudgetExceeded(
             f"2-adic convolution at level {k} exceeds budget {budget}"
         )
-    total = [0] * mod
-    total[0] = 1
-    for piece in pieces:
-        vec = _piece_count_vector(piece, k)
-        new = [0] * mod
-        for a, ca in enumerate(total):
-            if ca:
-                for b, cb in enumerate(vec):
-                    if cb:
-                        new[(a + b) % mod] += ca * cb
-        total = new
-    return total[m % mod]
+    vectors = (_piece_count_vector(piece, k) for piece in pieces)
+    return _cyclic_convolution(vectors, mod)[m % mod]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +386,6 @@ def local_density(G, p, m, *, k_max=6, method="auto", budget=DEFAULT_BUDGET):
     n = G.n
     det = G.determinant  # raises on singular input
 
-    counter = None
     tag = method
     if method == "count":
         def counter(k):
@@ -406,17 +395,17 @@ def local_density(G, p, m, *, k_max=6, method="auto", budget=DEFAULT_BUDGET):
             tag = "unit-formula"
 
             def counter(k):
-                return _count_unit_form(G.matrix, p, k, m)
+                return _unit_count(n, det % p, p, k, m)
         elif p % 2 == 1:
             tag = "jordan-blocks"
             dec = jordan_decompose_odd(G, p, 2 * _vp(det, p) + 2)
             blocks = [(b.exponent, b.units) for b in dec.blocks]
 
             def counter(k):
-                return _count_jordan_convolution(blocks, n, p, k, m, budget)
+                return _count_jordan_convolution(blocks, p, k, m, budget)
         else:
             tag = "two-adic-pieces"
-            pieces = _two_adic_pieces(G.matrix)
+            pieces = [step[3] for step in _valuation_sweep(G.matrix, 2)]
 
             def counter(k):
                 return _count_two_adic(pieces, p, k, m, budget)
@@ -482,67 +471,24 @@ def jordan_decompose_odd(G, p, K):
             f"need K >= {2 * _vp(det, p) + 1}, got {K}"
         )
     n = G.n
-    work = [[Fraction(G.matrix[i][j]) for j in range(n)] for i in range(n)]
     trans = [[Fraction(1 if i == j else 0) for j in range(n)]
              for i in range(n)]
-    live = list(range(n))
     entries = []  # (exponent, unit fraction, pivot order)
-
-    def pval(q):
-        if q == 0:
-            return None
-        v_num = _vp(abs(q.numerator), p)
-        v_den = _vp(q.denominator, p)
-        return v_num - v_den
-
-    while live:
-        best = None
-        for a, i in enumerate(live):
-            for j in live[a:]:
-                v = pval(work[i][j])
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            raise ValueError("form is degenerate over Z_p")
-        v = best[0]
-        diag = next((t for t in live if pval(work[t][t]) == v), None)
-        if diag is not None:
-            i = j = diag
-        else:
-            _, i, j = best
-            # every diagonal entry now has strictly larger valuation, so
-            # folding column j into i surfaces a diagonal pivot of
-            # valuation exactly v (2 is a unit since p is odd)
-            for t in range(n):
-                trans[t][i] += trans[t][j]
-            for t in live:
-                work[t][i] += work[t][j]
-            for t in live:
-                work[i][t] += work[j][t]
-        piv = work[i][i]
-        assert pval(piv) == v
-        rest = [t for t in live if t != i]
-        coeff = {t: work[i][t] / piv for t in rest}
-        for t in rest:
-            if coeff[t]:
-                for s in range(n):
-                    trans[s][t] -= coeff[t] * trans[s][i]
-        for s in rest:
-            for t in rest:
-                work[s][t] -= coeff[s] * piv * coeff[t]
-        for t in rest:
-            work[i][t] = Fraction(0)
-            work[t][i] = Fraction(0)
-        unit = piv / p ** v
-        entries.append((v, unit, i))
-        live = rest
+    for v, i, j, block, coeff in _valuation_sweep(G.matrix, p):
+        if j is not None:
+            for row in trans:
+                row[i] += row[j]
+        for t, (c,) in coeff.items():
+            if c:
+                for row in trans:
+                    row[t] -= c * row[i]
+        entries.append((v, block[0][0] / p ** v, i))
 
     entries.sort(key=lambda e: (e[0], e[2]))
     mod = p ** K
     by_exp = {}
     for v, unit, _ in entries:
-        res = (unit.numerator * pow(unit.denominator, -1, mod)) % mod
-        um = res % (p ** max(K - v, 1))
+        um = _frac_mod(unit, p, mod) % (p ** max(K - v, 1))
         by_exp.setdefault(v, []).append(um)
     blocks = tuple(
         JordanBlock(v, tuple(us)) for v, us in sorted(by_exp.items())
@@ -550,33 +496,23 @@ def jordan_decompose_odd(G, p, K):
 
     order = [e[2] for e in entries]
     tmat = freeze([
-        [_frac_mod_any(trans[i][col], mod, p) for col in order]
+        [_frac_mod(trans[i][col], p, mod) for col in order]
         for i in range(n)
     ])
-    _verify_jordan(G.matrix, tmat, blocks, p, K)
+    _verify_congruence(G.matrix, tmat, [((p ** b.exponent * u,),)
+                                        for b in blocks for u in b.units],
+                       mod, "jordan")
     return JordanDecomposition(blocks, tmat, p, K)
 
 
-def _frac_mod_any(q, mod, p):
-    den = q.denominator
-    if den % p == 0:
-        raise ValueError("denominator not a p-adic unit")
-    return (q.numerator * pow(den, -1, mod)) % mod
-
-
-def _verify_jordan(gram, tmat, blocks, p, K):
-    mod = p ** K
-    diag = []
-    for b in blocks:
-        for u in b.units:
-            diag.append((p ** b.exponent * u) % mod)
+def _verify_congruence(gram, tmat, blocks, mod, what):
+    """Raise unless T^t G T is the orthogonal sum of `blocks` mod `mod`."""
+    expect = orthogonal_sum(*map(GramForm, blocks)).matrix
     got = mat_mul(mat_mul(transpose(tmat), gram), tmat)
     n = len(gram)
-    for i in range(n):
-        for j in range(n):
-            want = diag[i] if i == j else 0
-            if (got[i][j] - want) % mod != 0:
-                raise AssertionError("jordan congruence failed")
+    if any((got[i][j] - expect[i][j]) % mod
+           for i in range(n) for j in range(n)):
+        raise AssertionError(f"{what} congruence failed")
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +709,11 @@ def two_adic_split(G, K=8):
     all_cols = done_cols + live_cols
     tmat = freeze([[all_cols[j][i] % mod for j in range(len(all_cols))]
                    for i in range(n)])
-    _verify_split(G.matrix, tmat, blocks, remainder, K)
+    _verify_congruence(G.matrix, tmat, [blk for _, blk in blocks]
+                       + ([remainder] if remainder else []), mod, "2-adic split")
+    # the transform must be invertible over Z/2
+    if determinant([[x % 2 for x in row] for row in tmat]) % 2 == 0:
+        raise AssertionError("2-adic split transform not unimodular mod 2")
     return Split2Result(tuple(blocks), remainder, tmat, K)
 
 
@@ -796,30 +736,6 @@ def _select_unimodular(vectors, need):
             if len(chosen) == need:
                 return chosen
     raise AssertionError("projected vectors failed to span the complement")
-
-
-def _verify_split(gram, tmat, blocks, remainder, K):
-    mod = 2 ** K
-    n = len(gram)
-    got = mat_mul(mat_mul(transpose(tmat), gram), tmat)
-    expect = [[0] * n for _ in range(n)]
-    pos = 0
-    for _, blk in blocks:
-        for a in range(2):
-            for b in range(2):
-                expect[pos + a][pos + b] = blk[a][b]
-        pos += 2
-    for a in range(len(remainder)):
-        for b in range(len(remainder)):
-            expect[pos + a][pos + b] = remainder[a][b]
-    for i in range(n):
-        for j in range(n):
-            if (got[i][j] - expect[i][j]) % mod != 0:
-                raise AssertionError("2-adic split congruence failed")
-    # the transform must be invertible over Z/2
-    det2 = determinant([[x % 2 for x in row] for row in tmat])
-    if det2 % 2 == 0:
-        raise AssertionError("2-adic split transform not unimodular mod 2")
 
 
 # ---------------------------------------------------------------------------

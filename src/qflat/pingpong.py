@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exact import freeze, identity, mat_inverse, mat_mul, mat_vec, solve
+from .exact import (common_denominator, content, freeze, identity,
+                    mat_inverse, mat_mul, mat_vec, solve)
 from .gram import GramForm
 from .intervals import Interval, log_interval, precision_bits
 
@@ -165,9 +166,6 @@ class QuadraticNumber:
         body = self.a * self.a - self.b * self.b * self.d
         return head * ((body > 0) - (body < 0))
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * self.d ** 0.5
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)
@@ -244,7 +242,7 @@ def _mat_pow(A, k):
 
 def _proj(p, q):
     p, q = Fraction(p), Fraction(q)
-    den = p.denominator * q.denominator // gcd(p.denominator, q.denominator)
+    den = common_denominator((p, q))
     a, b = int(p * den), int(q * den)
     g = gcd(a, b)
     if g:
@@ -295,18 +293,6 @@ def _mat2_det(mu):
     return mu[0][0] * mu[1][1] - mu[0][1] * mu[1][0]
 
 
-def _mat2_pow(mu, k):
-    out = ((1, 0), (0, 1))
-    for _ in range(k):
-        out = (
-            (out[0][0] * mu[0][0] + out[0][1] * mu[1][0],
-             out[0][0] * mu[0][1] + out[0][1] * mu[1][1]),
-            (out[1][0] * mu[0][0] + out[1][1] * mu[1][0],
-             out[1][0] * mu[0][1] + out[1][1] * mu[1][1]),
-        )
-    return out
-
-
 def _mat2_adj(mu):
     (p, q), (r, s) = mu
     return ((s, -q), (-r, p))
@@ -333,14 +319,9 @@ def _mobius_of(A):
            (Fraction(winf[1]), Fraction(w0[1])))
     alpha, beta = solve(mat, (Fraction(w1[0]), Fraction(w1[1])))
     raw = ((alpha * winf[0], beta * w0[0]), (alpha * winf[1], beta * w0[1]))
-    den = 1
-    for row in raw:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
+    den = common_denominator(x for row in raw for x in row)
     ints = [int(x * den) for row in raw for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = content(ints)
     mu = ((ints[0] // g, ints[1] // g), (ints[2] // g, ints[3] // g))
     if _mat2_det(mu) == 0:
         raise AssertionError("degenerate boundary action")
@@ -714,8 +695,8 @@ def schottky_certify(g1, g2, m_max=20):
 
     inv1, inv2 = _mat2_adj(mu1), _mat2_adj(mu2)
     for m in range(1, m_max + 1):
-        p1, q1 = _mat2_pow(mu1, m), _mat2_pow(inv1, m)
-        p2, q2 = _mat2_pow(mu2, m), _mat2_pow(inv2, m)
+        p1, q1 = _mat_pow(mu1, m), _mat_pow(inv1, m)
+        p2, q2 = _mat_pow(mu2, m), _mat_pow(inv2, m)
         sgn1 = 1 if _mat2_det(p1) > 0 else -1
         sgn2 = 1 if _mat2_det(p2) > 0 else -1
         table = [

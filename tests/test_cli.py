@@ -237,6 +237,15 @@ def test_bad_vector_exits_2(forms, capsys):
     assert "entries" in err
 
 
+def test_indefinite_form_names_the_cause(forms, capsys):
+    for argv in (["enumerate", "--form", forms["h"], "--norm", "1"],
+                 ["autord", "--form", forms["h"]]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("qf: form is not positive definite "
+                       "(pivot 0 at index 0)\n")
+
+
 def test_unknown_flag_exits_2(forms, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--form", forms["e8"], "--bogus"])
