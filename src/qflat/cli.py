@@ -15,10 +15,9 @@ import sys
 from fractions import Fraction
 
 from .enumeration import automorphism_order, representation_count, short_vectors
-from .exact import mat_inverse
 from .gram import GramFormatError, parse_gram_text
-from .hyperbolic import (HyperplaneOf, NegativeRoot, NotRoot, PositiveRoot,
-                         Whole, classify_hyperplane_meet, classify_root,
+from .hyperbolic import (HyperplaneOf, NegativeRoot, PositiveRoot, Whole,
+                         classify_hyperplane_meet, classify_root,
                          complement_form, reflect)
 from .lattice import Lattice, dual_lattice, invariant_factors, saturate
 from .localform import (infinity_density, jordan_decompose_odd, local_density,
@@ -127,10 +126,13 @@ def _cmd_enumerate(args):
 
 
 def _cmd_density(args):
+    if args.m < 1:
+        raise InputError(f"--m must be a positive integer, got {args.m}")
     form = _load_form(args.form)
     d = local_density(form, args.p, args.m, k_max=args.kmax)
     doc = {"p": args.p, "m": args.m, "value": str(d.value),
-           "stabilized_at_k": d.k if d.stabilized else None}
+           "stabilized_at_k": d.k if d.stabilized else None,
+           "method": d.method}
     _emit(args, doc, [str(d.value)])
     return 0
 
@@ -491,10 +493,7 @@ def main(argv=None):
         else:
             print(err)
         return 1
-    except InputError as err:
-        print(f"qf: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, GramFormatError) as err:
+    except (InputError, ValueError) as err:
         print(f"qf: {err}", file=sys.stderr)
         return 2
 

@@ -21,14 +21,16 @@ from .exact import (
     common_denominator,
     determinant,
     dot,
-    freeze,
+    identity,
+    mat_mul,
     mat_vec,
     rational_cholesky,
+    transpose,
 )
 from .gram import GramForm
 
 
-class DimensionLimit(Exception):
+class DimensionLimit(ValueError):
     """Dimension exceeds the configured automorphism-search limit."""
 
 
@@ -237,34 +239,42 @@ def automorphism_order(G, *, dim_limit=8):
         order *= level
     # the found extensions really are automorphisms of the form
     for k, tail in witnesses:
-        cols = [tuple(1 if i == s else 0 for i in range(n)) for s in range(k)]
-        cols += [pool[w] for w in tail]
-        for a in range(n):
-            for b in range(n):
-                if dot(mat_vec(gram, cols[a]), cols[b]) != gram[a][b]:
-                    raise AssertionError("witness fails T^t G T = G")
+        cols = identity(n)[:k] + tuple(pool[w] for w in tail)  # rows of T^t
+        if mat_mul(cols, mat_mul(gram, transpose(cols))) != gram:
+            raise AssertionError("witness fails T^t G T = G")
     return order
 
 
 def orthogonal_decompose(G, *, budget=DECOMPOSE_BUDGET):
     """Indecomposable orthogonal summands of a positive definite form.
 
-    Connected components of the non-orthogonality graph on the vectors of
-    norm up to the largest diagonal entry; each basis vector lies below
-    that bound, so the component lattices always sum to the whole space.
-    Returns the component Gram forms; the change of basis joining them is
-    verified unimodular.
+    Eichler's theorem: the summands are unique, and each indecomposable
+    vector (one that is not x + y with (x, y) = 0 and x, y != 0) lies in
+    exactly one of them.  v is decomposable exactly when some x with
+    f(x) < f(v) has |(x, v)| = f(x), and then v = x + (v - x) up to the
+    sign of x.  The summands are the connected components of the
+    non-orthogonality graph on the indecomposable vectors of norm up to the
+    largest diagonal entry: every basis vector is a sum of indecomposable
+    vectors of no larger norm, so the component lattices always sum to the
+    whole space, whatever the basis.  Returns the component Gram forms; the
+    change of basis joining them is verified unimodular.
     """
     G = _as_form(G)
     n = G.n
     gram = G.matrix
     bound = max(gram[i][i] for i in range(n))
-    reps = [v for v, _ in _canonical(_vectors_up_to(gram, bound))]
-    if len(reps) ** 2 > budget:
+    pairs = _canonical(_vectors_up_to(gram, bound))
+    if len(pairs) ** 2 > budget:
         raise BudgetExceeded(
-            f"non-orthogonality graph on {len(reps)} vectors exceeds budget"
+            f"non-orthogonality graph on {len(pairs)} vectors exceeds budget"
         )
-    gvs = [mat_vec(gram, v) for v in reps]
+    pairs.sort(key=lambda pair: pair[1])
+    gvs = [mat_vec(gram, v) for v, _ in pairs]
+    keep = [a for a, (v, norm) in enumerate(pairs)
+            if not any(abs(dot(gvs[b], v)) == pairs[b][1]
+                       for b in range(a) if pairs[b][1] < norm)]
+    reps = [pairs[a][0] for a in keep]
+    gvs = [gvs[a] for a in keep]
     parent = list(range(len(reps)))
 
     def find(a):
@@ -282,31 +292,12 @@ def orthogonal_decompose(G, *, budget=DECOMPOSE_BUDGET):
     groups = {}
     for a in range(len(reps)):
         groups.setdefault(find(a), []).append(reps[a])
-    comps = sorted(groups.values(), key=min)
-
-    bases = []
-    for comp in comps:
-        cols = freeze([[v[i] for v in comp] for i in range(n)])
-        bases.append(column_hermite_form(cols))
-    total = sum(len(b[0]) for b in bases)
-    if total != n:
+    bases = [column_hermite_form(transpose(comp))
+             for comp in sorted(groups.values(), key=min)]
+    if sum(len(b[0]) for b in bases) != n:
         raise AssertionError("component lattices do not fill the space")
-    joined = [[0] * n for _ in range(n)]
-    at = 0
-    for b in bases:
-        w = len(b[0])
-        for i in range(n):
-            for j in range(w):
-                joined[i][at + j] = b[i][j]
-        at += w
-    if abs(determinant(freeze(joined))) != 1:
+    joined = tuple(sum((b[i] for b in bases), ()) for i in range(n))
+    if abs(determinant(joined)) != 1:
         raise AssertionError("component join is not unimodular")
-
-    out = []
-    for b in bases:
-        w = len(b[0])
-        cols = [tuple(b[i][j] for i in range(n)) for j in range(w)]
-        block = freeze([[dot(mat_vec(gram, cols[a]), cols[c])
-                         for c in range(w)] for a in range(w)])
-        out.append(GramForm(block))
-    return tuple(out)
+    return tuple(GramForm(mat_mul(transpose(b), mat_mul(gram, b)))
+                 for b in bases)

@@ -178,9 +178,3 @@ def scale_form(form: GramForm, c: int) -> GramForm:
     if c == 0:
         raise ValueError("scale factor must be nonzero")
     return GramForm([[c * x for x in row] for row in form.matrix])
-
-
-def even_unimodular_lorentzian(k: int) -> GramForm:
-    """U plus k copies of the e8 block: even, unimodular, signature (8k+1, 1)."""
-    blocks = [hyperbolic_plane()] + [e8_form() for _ in range(k)]
-    return orthogonal_sum(*blocks)

@@ -36,7 +36,7 @@ class ZeroVector(Exception):
     """The zero vector cannot be classified or reflected in."""
 
 
-class NotARoot(Exception):
+class NotARoot(ValueError):
     """The vector does not define a lattice-preserving reflection."""
 
 
@@ -48,11 +48,11 @@ class DifferentSheet(Exception):
     """The points do not lie on one sheet of the hyperboloid."""
 
 
-class BadDecomposition(Exception):
+class BadDecomposition(ValueError):
     """The form is not the declared orthogonal block sum."""
 
 
-class IsotropicVector(Exception):
+class IsotropicVector(ValueError):
     """Orthogonal complements need f(v) != 0."""
 
 
@@ -311,9 +311,5 @@ def complement_form(L, v):
     v = _vector_of(v)
     if G.value(v) == 0:
         raise IsotropicVector("complement of an isotropic vector is singular")
-    gv = mat_vec(G.matrix, v)
-    basis = kernel_basis_int((tuple(gv),))
-    n = G.n
-    cols = [tuple(basis[i][j] for i in range(n)) for j in range(len(basis[0]))]
-    gram = freeze([[dot(mat_vec(G.matrix, a), b) for b in cols] for a in cols])
-    return GramForm(gram)
+    basis = kernel_basis_int((mat_vec(G.matrix, v),))
+    return GramForm(mat_mul(transpose(basis), mat_mul(G.matrix, basis)))

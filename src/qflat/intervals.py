@@ -68,16 +68,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def is_le(self, bound) -> bool:
-        """Certified: every point of the interval is <= bound."""
-        return self.hi <= Fraction(bound)
-
-    def is_ge(self, bound) -> bool:
-        return self.lo >= Fraction(bound)
-
     def disjoint(self, other: "Interval") -> bool:
         return self.hi < other.lo or other.hi < self.lo
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial
 
 from .errors import BudgetExceeded
-from .exact import freeze, determinant, mat_mul, transpose
+from .exact import (determinant, dot, freeze, identity, mat_mul, mat_vec,
+                    transpose)
 from .gram import GramForm, orthogonal_sum
 from .intervals import (
     Interval,
@@ -263,6 +264,11 @@ def _frac_mod(q, p, mod):
     if den % p == 0:
         raise ValueError("denominator not a p-adic unit")
     return (q.numerator * pow(den, -1, mod)) % mod
+
+
+def _reduce(a, mod):
+    """The integer matrix a with every entry reduced modulo mod."""
+    return tuple(tuple(x % mod for x in row) for row in a)
 
 
 def _valuation_sweep(gram, p):
@@ -509,9 +515,7 @@ def _verify_congruence(gram, tmat, blocks, mod, what):
     """Raise unless T^t G T is the orthogonal sum of `blocks` mod `mod`."""
     expect = orthogonal_sum(*map(GramForm, blocks)).matrix
     got = mat_mul(mat_mul(transpose(tmat), gram), tmat)
-    n = len(gram)
-    if any((got[i][j] - expect[i][j]) % mod
-           for i in range(n) for j in range(n)):
+    if _reduce(got, mod) != _reduce(expect, mod):
         raise AssertionError(f"{what} congruence failed")
 
 
@@ -531,14 +535,11 @@ EVEN_BLOCK = ((0, 1), (1, 0))
 ODD_BLOCK = ((0, 1), (1, 1))
 
 
-def _apply_gram(gram, x, y=None):
-    if y is None:
-        y = x
-    n = len(gram)
-    return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+def _value(gram, x):
+    return dot(x, mat_vec(gram, x))
 
 
-def _isotropic_seed(gram, mod8=8):
+def _isotropic_seed(gram):
     """Primitive v with f(v) = 0 mod 8 and Gv odd somewhere, or None.
 
     Deterministic search: sparse supports in ascending size, then (for
@@ -549,10 +550,8 @@ def _isotropic_seed(gram, mod8=8):
     def good(v):
         if all(c % 2 == 0 for c in v):
             return False
-        if _apply_gram(gram, v) % 8 != 0:
-            return False
-        gv = [sum(gram[i][j] * v[j] for j in range(n)) % 2 for i in range(n)]
-        return any(gv)
+        gv = mat_vec(gram, v)
+        return dot(v, gv) % 8 == 0 and any(c % 2 for c in gv)
 
     from itertools import combinations, product
 
@@ -570,21 +569,15 @@ def _isotropic_seed(gram, mod8=8):
 
 def _hensel_lift(gram, v, bits):
     """Lift f(v) = 0 mod 8 to f(v) = 0 mod 2^bits."""
-    n = len(gram)
     v = list(v)
     mod = 2 ** bits
-    gv = [sum(gram[i][j] * v[j] for j in range(n)) for i in range(n)]
-    t = next(i for i in range(n) if gv[i] % 2 == 1)
-    j = 3
-    while j < bits:
-        fv = _apply_gram(gram, v) % (2 ** (j + 1))
-        if fv >> j & 1:
-            inv = pow(gv[t] % (2 ** bits), -1, 2 ** bits)
-            v[t] = (v[t] + (1 << (j - 1)) * inv) % mod
-            gv = [sum(gram[i][jj] * v[jj] for jj in range(n))
-                  for i in range(n)]
-        j += 1
-    assert _apply_gram(gram, v) % (2 ** bits) == 0
+    gv = mat_vec(gram, v)
+    t = next(i for i, c in enumerate(gv) if c % 2 == 1)
+    for j in range(3, bits):
+        if _value(gram, v) >> j & 1:
+            v[t] = (v[t] + (1 << (j - 1)) * pow(gv[t], -1, mod)) % mod
+            gv = mat_vec(gram, v)
+    assert _value(gram, v) % mod == 0
     return tuple(c % mod for c in v)
 
 
@@ -592,30 +585,15 @@ def _partner(gram, v, bits):
     """u with (v,u) = 1 mod 2^bits, preferring odd f(u)."""
     n = len(gram)
     mod = 2 ** bits
-    gv = [sum(gram[i][j] * v[j] for j in range(n)) for i in range(n)]
-    cands = []
-    for t in range(n):
-        if gv[t] % 2 == 1:
-            u = [0] * n
-            u[t] = 1
-            cands.append(u)
-    base = cands[0]
-    tbase = base.index(1)
+    gv = mat_vec(gram, v)
+    cands = [tuple(int(i == t) for i in range(n))
+             for t in range(n) if gv[t] % 2 == 1]
+    tbase = cands[0].index(1)
     for s in range(n):
-        if s != tbase:
-            u = list(base)
-            u[s] = 1
-            if sum(gv[i] * u[i] for i in range(n)) % 2 == 1:
-                cands.append(u)
-    chosen = None
-    for u in cands:
-        if _apply_gram(gram, u) % 2 == 1:
-            chosen = u
-            break
-    if chosen is None:
-        chosen = cands[0]
-    c = sum(gv[i] * chosen[i] for i in range(n)) % mod
-    cinv = pow(c, -1, mod)
+        if s != tbase and (gv[tbase] + gv[s]) % 2 == 1:
+            cands.append(tuple(int(i in (tbase, s)) for i in range(n)))
+    chosen = next((u for u in cands if _value(gram, u) % 2 == 1), cands[0])
+    cinv = pow(dot(gv, chosen) % mod, -1, mod)
     return tuple((x * cinv) % mod for x in chosen)
 
 
@@ -641,11 +619,11 @@ def two_adic_split(G, K=8):
     work_bits = K + 2
     wmod = 2 ** work_bits
 
-    current = [list(r) for r in G.matrix]
-    # global columns (in original coordinates) of finished block vectors,
-    # and of the current working coordinates
-    done_cols = []
-    live_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    current = G.matrix
+    # columns, in original coordinates, of the finished block vectors and
+    # of the current working basis
+    done = ((),) * n
+    live = identity(n)
     blocks = []
 
     while len(current) >= 2:
@@ -665,54 +643,37 @@ def two_adic_split(G, K=8):
             break
         v = _hensel_lift(current, seed, work_bits)
         u = _partner(current, v, work_bits)
-        fu = _apply_gram(current, u) % wmod
+        fu = _value(current, u) % wmod
         eps = fu % 2
         tau = ((fu - eps) // 2) % wmod
         u = tuple((u[i] - tau * v[i]) % wmod for i in range(dim))
-        fv = _apply_gram(current, v) % wmod
-        fu = _apply_gram(current, u) % wmod
-        vu = _apply_gram(current, v, u) % wmod
-        pdet = (fv * fu - vu * vu) % wmod
-        pinv = pow(pdet, -1, wmod)
-        # complement: project e_t off span(v, u)
+        gv = mat_vec(current, v)
+        gu = mat_vec(current, u)
+        fv = dot(v, gv) % wmod
+        fu = dot(u, gu) % wmod
+        vu = dot(u, gv) % wmod
+        pinv = pow((fv * fu - vu * vu) % wmod, -1, wmod)
+        # complement: project e_t off span(v, u), where (v, e_t) = (Gv)_t
         comp = []
         for t in range(dim):
-            e = [0] * dim
-            e[t] = 1
-            gv_t = _apply_gram(current, v, e)
-            gu_t = _apply_gram(current, u, e)
-            av = (pinv * (fu * gv_t - vu * gu_t)) % wmod
-            au = (pinv * (fv * gu_t - vu * gv_t)) % wmod
-            w = tuple((e[i] - av * v[i] - au * u[i]) % wmod
-                      for i in range(dim))
-            comp.append(w)
-        cols = _select_unimodular(comp, dim - 2)
-        new_gram = [
-            [_apply_gram(current, cols[a], cols[b]) % wmod
-             for b in range(dim - 2)]
-            for a in range(dim - 2)
-        ]
+            av = (pinv * (fu * gv[t] - vu * gu[t])) % wmod
+            au = (pinv * (fv * gu[t] - vu * gv[t])) % wmod
+            comp.append(tuple((int(i == t) - av * v[i] - au * u[i]) % wmod
+                              for i in range(dim)))
+        C = transpose(_select_unimodular(comp, dim - 2))
         blocks.append(("odd" if eps else "even",
                        ODD_BLOCK if eps else EVEN_BLOCK))
+        pair = _reduce(mat_mul(live, transpose((v, u))), wmod)
+        done = tuple(d + p for d, p in zip(done, pair))
+        live = _reduce(mat_mul(live, C), wmod)
+        current = _reduce(mat_mul(transpose(C), mat_mul(current, C)), wmod)
 
-        def to_global(vec):
-            return [sum(live_cols[t][i] * vec[t] for t in range(dim)) % wmod
-                    for i in range(n)]
-
-        done_cols.append(to_global(v))
-        done_cols.append(to_global(u))
-        live_cols = [to_global(c) for c in cols]
-        current = new_gram
-
-    remainder = freeze([[x % mod for x in row] for row in current]) \
-        if current else tuple()
-    all_cols = done_cols + live_cols
-    tmat = freeze([[all_cols[j][i] % mod for j in range(len(all_cols))]
-                   for i in range(n)])
+    remainder = _reduce(current, mod)
+    tmat = _reduce((d + w for d, w in zip(done, live)), mod)
     _verify_congruence(G.matrix, tmat, [blk for _, blk in blocks]
                        + ([remainder] if remainder else []), mod, "2-adic split")
     # the transform must be invertible over Z/2
-    if determinant([[x % 2 for x in row] for row in tmat]) % 2 == 0:
+    if determinant(_reduce(tmat, 2)) % 2 == 0:
         raise AssertionError("2-adic split transform not unimodular mod 2")
     return Split2Result(tuple(blocks), remainder, tmat, K)
 

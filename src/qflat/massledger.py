@@ -28,7 +28,7 @@ class EmptyGenus(Exception):
     """A genus input needs at least one class representative."""
 
 
-class NonPositiveInput(Exception):
+class NonPositiveInput(ValueError):
     """All mass-chain inputs must be positive."""
 
 

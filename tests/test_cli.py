@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qflat.cli import main
-from qflat.gram import GramForm, e8_form, parse_gram_text
+from qflat.gram import GramForm, e8_form, identity_form, parse_gram_text
 
 H = GramForm(((0, 1), (1, 0)))
 U22 = GramForm(((0, 1, 0), (1, 0, 0), (0, 0, 2)))
@@ -23,6 +23,7 @@ def forms(tmp_path_factory):
         ("t2", GramForm(((2,),))),
         ("d45", GramForm(((4, 1), (1, 5)))),
         ("odd3", GramForm(((2, 1, 0), (1, 4, 1), (0, 1, 6)))),
+        ("z9", identity_form(9)),
     ]:
         p = d / f"{name}.qf"
         p.write_text(form.text())
@@ -244,6 +245,22 @@ def test_indefinite_form_names_the_cause(forms, capsys):
         assert code == 2 and out == ""
         assert err == ("qf: form is not positive definite "
                        "(pivot 0 at index 0)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["autord", "--form", "{z9}"],
+    ["reflect", "--form", "{e8}", "--root", "1,0,0,0,0,0,0,1",
+     "--vector", "1,0,0,0,0,0,0,0"],
+    ["prop41", "--king", "-1"],
+    ["density", "--form", "{h}", "--p", "2", "--m", "0"],
+    ["density", "--form", "{h}", "--p", "2", "--m", "-3"],
+], ids=["autord-z9", "reflect-not-a-root", "prop41-negative-king",
+        "density-m0", "density-m-3"])
+def test_input_errors_exit_2_with_one_line(forms, capsys, argv):
+    code, out, err = run(capsys, *(a.format(**forms) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("qf: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_exits_2(forms, capsys):

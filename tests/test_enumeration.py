@@ -232,9 +232,8 @@ def test_decompose_interleaved_coordinates():
 
 
 def test_decompose_coarse_under_skewed_basis():
-    # a shear drives the diagonal up; mixed vectors below the larger bound
-    # may glue true summands together, so the result can be coarser than
-    # the finest decomposition but must still account for the whole form
+    # a shear drives the diagonal up, so vectors that mix true summands
+    # fall below the bound; the result must still account for the whole form
     rng = random.Random(21)
     G = orthogonal_sum(GramForm(((1,),)), A2)
     H = transformed(G, random_unimodular(3, rng))
@@ -244,6 +243,30 @@ def test_decompose_coarse_under_skewed_basis():
     for b in blocks:
         prod *= b.determinant
     assert prod == H.determinant
+
+
+def _sheared(G, shears):
+    """G in the basis where column i gains c times column j, per (i, j, c)."""
+    T = [[1 if i == j else 0 for j in range(G.n)] for i in range(G.n)]
+    for i, j, c in shears:
+        for row in T:
+            row[i] += c * row[j]
+    return transformed(G, T)
+
+
+@pytest.mark.parametrize("G,shears,parts", [
+    (identity_form(5), [(1, 0, 1), (2, 1, 1), (4, 3, -1)], [(1, 1)] * 5),
+    (identity_form(8), [(1, 0, 1), (2, 1, -1), (4, 3, 1), (6, 5, 1),
+                        (7, 6, -1)], [(1, 1)] * 8),
+    (orthogonal_sum(A2, A2), [(2, 1, 1), (3, 0, -1)], [(2, 3)] * 2),
+], ids=["Z5", "Z8", "A2+A2"])
+def test_decompose_finest_under_skewed_basis(G, shears, parts):
+    # Eichler: the indecomposable summands are unique, so a unimodular
+    # shear of the basis must not glue them together
+    H = _sheared(G, shears)
+    assert max(H.matrix[i][i] for i in range(H.n)) > 1
+    blocks = orthogonal_decompose(H)
+    assert sorted((b.n, b.determinant) for b in blocks) == parts
 
 
 def test_decompose_budget():

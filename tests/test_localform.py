@@ -270,6 +270,14 @@ def test_split_four_squares_has_no_isotropic_vector():
         two_adic_split(identity_form(4), 8)
 
 
+@pytest.mark.xfail(strict=True, raises=NoIsotropicVector, reason=(
+    "D6: above dimension 5 the seed search tries at most 4 nonzero "
+    "coordinates, and on Z^n none with an odd coordinate has f = 0 mod 8"))
+def test_split_six_squares():
+    res = two_adic_split(identity_form(6), 8)
+    assert res.blocks and 2 * len(res.blocks) + len(res.remainder) == 6
+
+
 def test_split_rejects_even_determinant():
     with pytest.raises(ValueError):
         two_adic_split(GramForm(((2, 0), (0, 1))), 8)
