@@ -13,6 +13,7 @@ integer, so no vector is missed and none is counted twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import BudgetExceeded
 from .exact import (
@@ -263,10 +264,19 @@ def orthogonal_decompose(G, *, budget=DECOMPOSE_BUDGET):
     n = G.n
     gram = G.matrix
     bound = max(gram[i][i] for i in range(n))
-    pairs = _canonical(_vectors_up_to(gram, bound))
-    if len(pairs) ** 2 > budget:
+    cap = 2 * isqrt(budget)  # more signed vectors: len(pairs) ** 2 > budget
+    found = []
+
+    def collect(x, norm):
+        found.append((tuple(x), norm))
+        return len(found) > cap
+
+    stopped = _walk(gram, bound, collect)
+    pairs = _canonical(found)
+    if stopped or len(pairs) ** 2 > budget:
         raise BudgetExceeded(
-            f"non-orthogonality graph on {len(pairs)} vectors exceeds budget"
+            f"non-orthogonality graph on at least {len(pairs)} vectors "
+            f"exceeds budget"
         )
     pairs.sort(key=lambda pair: pair[1])
     gvs = [mat_vec(gram, v) for v, _ in pairs]

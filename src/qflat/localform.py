@@ -9,6 +9,11 @@ with the archimedean density (`infinity_density`), the sphere-volume
 constants (`omega_interval`), interval zeta values (`zeta_interval`), and
 the structure results used to organize p-adic computations:
 `jordan_decompose_odd` for odd primes and `two_adic_split` at p = 2.
+All three p-adic results rest on one valuation sweep (`_valuation_sweep`),
+which splits a form over Z_p into pieces of rank <= 2 and their bases:
+densities convolve the pieces, the odd-p Jordan form sorts them, and the
+2-adic split recombines them into hyperbolic-type blocks and an
+anisotropic remainder.
 
 Everything arithmetic is exact: densities are `Fraction`s, archimedean
 quantities are certified `Interval`s.
@@ -18,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations, groupby, product
 from math import factorial
+from operator import itemgetter
 
 from .errors import BudgetExceeded
-from .exact import (determinant, dot, freeze, identity, mat_mul, mat_vec,
-                    transpose)
+from .exact import determinant, dot, identity, mat_mul, mat_vec, transpose
 from .gram import GramForm, orthogonal_sum
 from .intervals import (
     Interval,
@@ -34,17 +40,15 @@ from .intervals import (
 )
 
 
-class PrecisionTooLow(Exception):
+class PrecisionTooLow(ValueError):
     """The working modulus p^K cannot certify the requested decomposition."""
 
 
-class NoIsotropicVector(Exception):
-    """No isotropic vector was found by the 2-adic search.
+class NoIsotropicVector(ValueError):
+    """A form of rank 2 to 4 is anisotropic over Z_2: no block splits off.
 
-    Raised when the input has dimension < 5 (where a splitting is not
-    guaranteed to exist) and no block could be extracted, or -- which
-    would indicate a bug or an inadequate working precision -- when the
-    search fails in dimension >= 5 where isotropy is guaranteed.
+    Every unimodular Z_2-form of rank >= 5 is isotropic, so larger forms
+    never raise it.
     """
 
 
@@ -249,13 +253,7 @@ def _count_jordan_convolution(blocks, p, k, m, budget):
 
 
 # ---------------------------------------------------------------------------
-# backend: p = 2 -- split into pieces of dimension <= 2, then convolve
-#
-# Any symmetric integer matrix can be brought, over Z_2, to a direct sum
-# of 1x1 pieces and 2x2 pieces with even diagonal.  The transformation is
-# a product of elementary column operations whose coefficients have odd
-# denominators, so it is invertible over Z/2^k and preserves solution
-# counts at every level.
+# the valuation sweep, and at p = 2 the convolution of its pieces
 
 
 def _frac_mod(q, p, mod):
@@ -283,13 +281,15 @@ def _valuation_sweep(gram, p):
     block in exact Fractions; every coefficient is p-integral, so the
     transformation is invertible over Z/p^k and keeps solution counts.
 
-    Yields (v, i, j, block, coeff) per step: the pivot index i, the fold
-    or block partner j (None for a diagonal pivot), the Gram matrix of
-    the block split off, and for each remaining live index t the
-    multipliers of the pivot columns subtracted from column t.
+    Yields (v, i, block, basis) per step: the pivot index i, the Gram
+    matrix of the piece split off (1x1, or 2x2 at p = 2) and its basis
+    vectors in input coordinates, p-integral Fractions, so that
+    basis^t G basis = block exactly.  The bases of all steps together form
+    a basis of Z_p^n.
     """
     n = len(gram)
     work = [[Fraction(x) for x in row] for row in gram]
+    cols = [[Fraction(int(s == t)) for s in range(n)] for t in range(n)]
     live = list(range(n))
 
     def val(q):
@@ -313,6 +313,7 @@ def _valuation_sweep(gram, p):
                 work[t][i] += work[t][j]
             for t in live:
                 work[i][t] += work[j][t]
+            cols[i] = [a + b for a, b in zip(cols[i], cols[j])]
             assert val(work[i][i]) == v
         pivot = (i,) if j is None or p != 2 else (i, j)
         block = tuple(tuple(work[a][b] for b in pivot) for a in pivot)
@@ -334,7 +335,11 @@ def _valuation_sweep(gram, p):
                     if c:
                         new -= c * w
                 work[s][t] = work[t][s] = new
-        yield v, i, j, block, coeff
+        for t in live:
+            for c, q in zip(coeff[t], pivot):
+                if c:
+                    cols[t] = [x - c * y for x, y in zip(cols[t], cols[q])]
+        yield v, i, block, tuple(tuple(cols[q]) for q in pivot)
 
 
 def _piece_count_vector(piece, k):
@@ -411,7 +416,7 @@ def local_density(G, p, m, *, k_max=6, method="auto", budget=DEFAULT_BUDGET):
                 return _count_jordan_convolution(blocks, p, k, m, budget)
         else:
             tag = "two-adic-pieces"
-            pieces = [step[3] for step in _valuation_sweep(G.matrix, 2)]
+            pieces = [step[2] for step in _valuation_sweep(G.matrix, 2)]
 
             def counter(k):
                 return _count_two_adic(pieces, p, k, m, budget)
@@ -476,35 +481,14 @@ def jordan_decompose_odd(G, p, K):
             f"p^K must exceed the square of the p-part of det; "
             f"need K >= {2 * _vp(det, p) + 1}, got {K}"
         )
-    n = G.n
-    trans = [[Fraction(1 if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    entries = []  # (exponent, unit fraction, pivot order)
-    for v, i, j, block, coeff in _valuation_sweep(G.matrix, p):
-        if j is not None:
-            for row in trans:
-                row[i] += row[j]
-        for t, (c,) in coeff.items():
-            if c:
-                for row in trans:
-                    row[t] -= c * row[i]
-        entries.append((v, block[0][0] / p ** v, i))
-
-    entries.sort(key=lambda e: (e[0], e[2]))
+    entries = sorted((v, i, block[0][0] / p ** v, col)
+                     for v, i, block, (col,) in _valuation_sweep(G.matrix, p))
     mod = p ** K
-    by_exp = {}
-    for v, unit, _ in entries:
-        um = _frac_mod(unit, p, mod) % (p ** max(K - v, 1))
-        by_exp.setdefault(v, []).append(um)
     blocks = tuple(
-        JordanBlock(v, tuple(us)) for v, us in sorted(by_exp.items())
-    )
-
-    order = [e[2] for e in entries]
-    tmat = freeze([
-        [_frac_mod(trans[i][col], p, mod) for col in order]
-        for i in range(n)
-    ])
+        JordanBlock(v, tuple(_frac_mod(e[2], p, mod) % p ** max(K - v, 1)
+                             for e in group))
+        for v, group in groupby(entries, key=itemgetter(0)))
+    tmat = transpose([[_frac_mod(q, p, mod) for q in e[3]] for e in entries])
     _verify_congruence(G.matrix, tmat, [((p ** b.exponent * u,),)
                                         for b in blocks for u in b.units],
                        mod, "jordan")
@@ -535,168 +519,121 @@ EVEN_BLOCK = ((0, 1), (1, 0))
 ODD_BLOCK = ((0, 1), (1, 1))
 
 
-def _value(gram, x):
-    return dot(x, mat_vec(gram, x))
+def _two_adic_pieces(gram, vectors, mod):
+    """The p = 2 sweep pieces of `gram` as (block, vectors) mod `mod`.
 
-
-def _isotropic_seed(gram):
-    """Primitive v with f(v) = 0 mod 8 and Gv odd somewhere, or None.
-
-    Deterministic search: sparse supports in ascending size, then (for
-    small dimensions) the full product space.
+    `vectors` holds one input-coordinate vector per coordinate of `gram`;
+    each piece's vectors are its sweep basis mapped through them.
     """
-    n = len(gram)
+    def reduced(rows):
+        return tuple(tuple(_frac_mod(q, 2, mod) for q in row) for row in rows)
 
-    def good(v):
-        if all(c % 2 == 0 for c in v):
-            return False
-        gv = mat_vec(gram, v)
-        return dot(v, gv) % 8 == 0 and any(c % 2 for c in gv)
+    return [(reduced(block), _reduce(mat_mul(reduced(basis), vectors), mod))
+            for _, _, block, basis in _valuation_sweep(gram, 2)]
 
-    from itertools import combinations, product
 
-    max_support = n if n <= 5 else 4
-    for size in range(1, max_support + 1):
-        for support in combinations(range(n), size):
-            for values in product(range(1, 8), repeat=size):
-                v = [0] * n
-                for idx, val in zip(support, values):
-                    v[idx] = val
-                if good(v):
-                    return tuple(v)
+def _isotropic_mod8(S):
+    """x in {0..3}^r with x^t S x = 0 mod 8 and Sx odd somewhere, or None.
+
+    f mod 8 depends only on x mod 4, so a primitive isotropic vector over
+    Z_2 of a unimodular S reduces to one of these 4^r - 1 candidates; they
+    are tried in order of support size.
+    """
+    r = len(S)
+    for size in range(1, r + 1):
+        for support in combinations(range(r), size):
+            for values in product((1, 2, 3), repeat=size):
+                x = [0] * r
+                for t, c in zip(support, values):
+                    x[t] = c
+                sx = mat_vec(S, x)
+                if dot(x, sx) % 8 == 0 and any(c % 2 for c in sx):
+                    return x, sx
     return None
 
 
-def _hensel_lift(gram, v, bits):
-    """Lift f(v) = 0 mod 8 to f(v) = 0 mod 2^bits."""
-    v = list(v)
-    mod = 2 ** bits
-    gv = mat_vec(gram, v)
-    t = next(i for i, c in enumerate(gv) if c % 2 == 1)
-    for j in range(3, bits):
-        if _value(gram, v) >> j & 1:
-            v[t] = (v[t] + (1 << (j - 1)) * pow(gv[t], -1, mod)) % mod
-            gv = mat_vec(gram, v)
-    assert _value(gram, v) % mod == 0
-    return tuple(c % mod for c in v)
-
-
-def _partner(gram, v, bits):
-    """u with (v,u) = 1 mod 2^bits, preferring odd f(u)."""
-    n = len(gram)
-    mod = 2 ** bits
-    gv = mat_vec(gram, v)
-    cands = [tuple(int(i == t) for i in range(n))
-             for t in range(n) if gv[t] % 2 == 1]
-    tbase = cands[0].index(1)
-    for s in range(n):
-        if s != tbase and (gv[tbase] + gv[s]) % 2 == 1:
-            cands.append(tuple(int(i in (tbase, s)) for i in range(n)))
-    chosen = next((u for u in cands if _value(gram, u) % 2 == 1), cands[0])
-    cinv = pow(dot(gv, chosen) % mod, -1, mod)
-    return tuple((x * cinv) % mod for x in chosen)
+def _odd_root(a, b, c, mod):
+    """y with a + b y + c y^2 = 0 mod `mod`, a power of 2, b odd, c even."""
+    y = 0
+    while g := (a + b * y + c * y * y) % mod:
+        y = (y - g * pow(b + 2 * c * y, -1, mod)) % mod
+    return y
 
 
 def two_adic_split(G, K=8):
     """Split off hyperbolic-type blocks from G over Z/2^K.
 
-    Repeatedly finds an isotropic vector, completes it to a pair spanning
-    a block congruent to 2x1x2 or 2x1x2 + x2^2 mod 2^K, and recurses on the
-    orthogonal complement.  Splitting is guaranteed above dimension 4; in
-    lower dimensions the leftover anisotropic part is returned as the
-    remainder.  Raises NoIsotropicVector if not a single block can be
-    extracted (or, indicating a bug, if the guaranteed case fails).
+    G is swept once at p = 2 into orthogonal pieces of rank <= 2, which
+    are taken into windows of rank 5 or 6 (or all that is left).  A window
+    isotropic over Z_2, as every one of rank >= 5 is (Cassels, Rational
+    Quadratic Forms, ch. 4), has x with f(x) = 0 mod 8 and Sx odd at some s;
+    x lifted along e_s and paired with e_s spans a block congruent to 2xy
+    or 2xy + y^2 mod 2^K.  The window's other basis vectors, less e_s and
+    one e_r with x_r odd, are projected off the pair and swept back into
+    the pool.  The remainder is what is left when no window splits: the
+    anisotropic part, rank <= 4 and unique up to Z_2-isometry
+    (Conway-Sloane, SPLAG ch. 15 sec. 7); the block sequence is not
+    canonical.  Raises NoIsotropicVector if G has rank 2 to 4 and no block
+    splits off.
     """
     if not isinstance(G, GramForm):
         G = GramForm(G)
-    det = G.determinant
-    if det % 2 == 0:
+    if G.determinant % 2 == 0:
         raise ValueError("two_adic_split requires unit 2-adic determinant")
     if K < 3:
         raise PrecisionTooLow("need K >= 3")
-    n = G.n
     mod = 2 ** K
-    work_bits = K + 2
-    wmod = 2 ** work_bits
-
-    current = G.matrix
-    # columns, in original coordinates, of the finished block vectors and
-    # of the current working basis
-    done = ((),) * n
-    live = identity(n)
+    pool = _two_adic_pieces(G.matrix, identity(G.n), mod)
     blocks = []
-
-    while len(current) >= 2:
-        dim = len(current)
-        seed = _isotropic_seed(current)
-        if seed is None:
-            if dim >= 5:
+    done = []  # the block pairs, in input coordinates
+    remainder = ()
+    while pool:
+        ranks = accumulate(len(block) for block, _ in pool)
+        take = next((k for k, rank in enumerate(ranks, 1) if rank >= 5),
+                    len(pool))
+        window, pool = pool[:take], pool[take:]
+        S = orthogonal_sum(*(GramForm(block) for block, _ in window)).matrix
+        vectors = [vec for _, vecs in window for vec in vecs]
+        found = _isotropic_mod8(S)
+        if found is None:
+            if len(S) >= 5:
+                raise AssertionError(
+                    f"unimodular Z_2-form of rank {len(S)} has no isotropic "
+                    f"vector mod 8")
+            if len(S) >= 2 and not blocks:
                 raise NoIsotropicVector(
-                    f"guaranteed isotropic vector not found in dimension "
-                    f"{dim}; raise the search precision"
-                )
-            if not blocks:
-                raise NoIsotropicVector(
-                    f"dimension {dim} < 5: splitting not guaranteed and no "
-                    f"isotropic vector exists mod 8"
-                )
+                    f"dimension {len(S)} < 5: splitting not guaranteed and no "
+                    f"isotropic vector exists mod 8")
+            remainder = S
+            done += vectors
             break
-        v = _hensel_lift(current, seed, work_bits)
-        u = _partner(current, v, work_bits)
-        fu = _value(current, u) % wmod
-        eps = fu % 2
-        tau = ((fu - eps) // 2) % wmod
-        u = tuple((u[i] - tau * v[i]) % wmod for i in range(dim))
-        gv = mat_vec(current, v)
-        gu = mat_vec(current, u)
-        fv = dot(v, gv) % wmod
-        fu = dot(u, gu) % wmod
-        vu = dot(u, gv) % wmod
-        pinv = pow((fv * fu - vu * vu) % wmod, -1, wmod)
-        # complement: project e_t off span(v, u), where (v, e_t) = (Gv)_t
-        comp = []
-        for t in range(dim):
-            av = (pinv * (fu * gv[t] - vu * gu[t])) % wmod
-            au = (pinv * (fv * gu[t] - vu * gv[t])) % wmod
-            comp.append(tuple((int(i == t) - av * v[i] - au * u[i]) % wmod
-                              for i in range(dim)))
-        C = transpose(_select_unimodular(comp, dim - 2))
-        blocks.append(("odd" if eps else "even",
-                       ODD_BLOCK if eps else EVEN_BLOCK))
-        pair = _reduce(mat_mul(live, transpose((v, u))), wmod)
-        done = tuple(d + p for d, p in zip(done, pair))
-        live = _reduce(mat_mul(live, C), wmod)
-        current = _reduce(mat_mul(transpose(C), mat_mul(current, C)), wmod)
+        v, sv = found
+        s = next(t for t, c in enumerate(sv) if c % 2)
+        r = next(t for t, c in enumerate(v) if c % 2 and t != s)
+        v[s] += 4 * _odd_root(dot(v, sv) // 8, sv[s], 2 * S[s][s], mod // 8)
+        gv = mat_vec(S, v)
+        # u = c e_s - tau v: (v, u) = 1 and f(u) = c^2 S_ss - 2 tau = eps
+        c = pow(gv[s], -1, mod)
+        fu = c * c * S[s][s]
+        eps, tau = fu % 2, fu // 2
+        u = [(c * int(t == s) - tau * x) % mod for t, x in enumerate(v)]
+        gu = mat_vec(S, u)
+        # e_t - (gu_t - eps gv_t) v - gv_t u is orthogonal to v and u
+        rest = _reduce([[int(i == t) - (gu[t] - eps * gv[t]) * v[i]
+                         - gv[t] * u[i] for i in range(len(S))]
+                        for t in range(len(S)) if t not in (s, r)], mod)
+        blocks.append(("odd", ODD_BLOCK) if eps else ("even", EVEN_BLOCK))
+        done += mat_mul((v, u), vectors)
+        sub = _reduce(mat_mul(mat_mul(rest, S), transpose(rest)), mod)
+        pool = _two_adic_pieces(sub, mat_mul(rest, vectors), mod) + pool
 
-    remainder = _reduce(current, mod)
-    tmat = _reduce((d + w for d, w in zip(done, live)), mod)
+    tmat = _reduce(transpose(done), mod)
     _verify_congruence(G.matrix, tmat, [blk for _, blk in blocks]
                        + ([remainder] if remainder else []), mod, "2-adic split")
     # the transform must be invertible over Z/2
     if determinant(_reduce(tmat, 2)) % 2 == 0:
         raise AssertionError("2-adic split transform not unimodular mod 2")
     return Split2Result(tuple(blocks), remainder, tmat, K)
-
-
-def _select_unimodular(vectors, need):
-    """Greedy GF(2)-independent subset of size `need`."""
-    rows = []
-    chosen = []
-    if need == 0:
-        return chosen
-    for vec in vectors:
-        r = [c % 2 for c in vec]
-        cur = r[:]
-        for pivot_pos, prow in rows:
-            if cur[pivot_pos]:
-                cur = [(a + b) % 2 for a, b in zip(cur, prow)]
-        if any(cur):
-            pos = next(i for i, c in enumerate(cur) if c)
-            rows.append((pos, cur))
-            chosen.append(vec)
-            if len(chosen) == need:
-                return chosen
-    raise AssertionError("projected vectors failed to span the complement")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ def forms(tmp_path_factory):
         ("t2", GramForm(((2,),))),
         ("d45", GramForm(((4, 1), (1, 5)))),
         ("odd3", GramForm(((2, 1, 0), (1, 4, 1), (0, 1, 6)))),
+        ("z4", identity_form(4)),
         ("z9", identity_form(9)),
     ]:
         p = d / f"{name}.qf"
@@ -254,8 +255,12 @@ def test_indefinite_form_names_the_cause(forms, capsys):
     ["prop41", "--king", "-1"],
     ["density", "--form", "{h}", "--p", "2", "--m", "0"],
     ["density", "--form", "{h}", "--p", "2", "--m", "-3"],
+    ["split2", "--form", "{z4}"],
+    ["split2", "--form", "{h}", "--k", "2"],
+    ["jordan", "--form", "{e8}", "--p", "3", "--k", "0"],
 ], ids=["autord-z9", "reflect-not-a-root", "prop41-negative-king",
-        "density-m0", "density-m-3"])
+        "density-m0", "density-m-3", "split2-anisotropic-z4", "split2-k2",
+        "jordan-k0"])
 def test_input_errors_exit_2_with_one_line(forms, capsys, argv):
     code, out, err = run(capsys, *(a.format(**forms) for a in argv))
     assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -272,3 +273,14 @@ def test_decompose_finest_under_skewed_basis(G, shears, parts):
 def test_decompose_budget():
     with pytest.raises(BudgetExceeded):
         orthogonal_decompose(identity_form(4), budget=3)
+
+
+def test_decompose_budget_stops_the_listing():
+    # largest diagonal entry 33: about 2.6M vectors to list in full, so the
+    # budget must stop the walk itself, not a check after it
+    G = transformed(identity_form(8), random_unimodular(8, random.Random(3)))
+    assert max(G.matrix[i][i] for i in range(8)) == 33
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        orthogonal_decompose(G)
+    assert time.perf_counter() - start < 5

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_enumeration import random_unimodular, transformed
 
+from qflat.exact import determinant
 from qflat.gram import (
     GramForm,
     e8_form,
@@ -266,16 +270,73 @@ def test_split_five_squares():
 
 
 def test_split_four_squares_has_no_isotropic_vector():
-    with pytest.raises(NoIsotropicVector):
-        two_adic_split(identity_form(4), 8)
+    for G in (identity_form(2), identity_form(3), identity_form(4),
+              GramForm(((2, 1), (1, 2)))):
+        with pytest.raises(NoIsotropicVector):
+            two_adic_split(G, 8)
 
 
-@pytest.mark.xfail(strict=True, raises=NoIsotropicVector, reason=(
-    "D6: above dimension 5 the seed search tries at most 4 nonzero "
-    "coordinates, and on Z^n none with an odd coordinate has f = 0 mod 8"))
+def _split_form(res):
+    """The block diagonal of a Split2Result, as a list of rows."""
+    pieces = [blk for _, blk in res.blocks] + [res.remainder]
+    n = sum(len(blk) for blk in pieces)
+    out = [[0] * n for _ in range(n)]
+    pos = 0
+    for blk in pieces:
+        for a, row in enumerate(blk):
+            for b, x in enumerate(row):
+                out[pos + a][pos + b] = x
+        pos += len(blk)
+    return out
+
+
+def _assert_recomposes(G, res):
+    """T^t G T equals the split form mod 2^K, summed here term by term."""
+    n = len(G)
+    T = res.transform
+    want = _split_form(res)
+    for i in range(n):
+        for j in range(n):
+            got = sum(T[a][i] * G[a][b] * T[b][j]
+                      for a in range(n) for b in range(n))
+            assert (got - want[i][j]) % 2 ** res.bits == 0
+
+
 def test_split_six_squares():
-    res = two_adic_split(identity_form(6), 8)
-    assert res.blocks and 2 * len(res.blocks) + len(res.remainder) == 6
+    # Z^6 was the first dimension the seed search missed; the remainder is
+    # the anisotropic part of Z^n over Z_2, whose rank has period 8
+    ranks = [3, 2, 1, 0, 1, 2, 3, 4, 3, 2, 1, 0]
+    for n, rank in zip(range(5, 17), ranks):
+        res = two_adic_split(identity_form(n), 8)
+        assert 2 * len(res.blocks) + len(res.remainder) == n
+        assert len(res.remainder) == rank
+        _assert_recomposes(identity_form(n).matrix, res)
+
+
+def _hyperbolic_sum(k, unit):
+    return orthogonal_sum(*[hyperbolic_plane()] * k, GramForm(((unit,),)))
+
+
+SPLIT_BASES = ([identity_form(n) for n in range(5, 17)]
+               + [e8_form(), orthogonal_sum(e8_form(), identity_form(3))]
+               + [_hyperbolic_sum(k, u)
+                  for k in (2, 5, 8) for u in (1, 3, 5, 7)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(SPLIT_BASES), st.integers(0, 10 ** 6),
+       st.sampled_from([3, 6, 8]))
+def test_split_survives_unimodular_skews(base, seed, K):
+    # block kinds are not invariants (odd + odd = even + odd over Z_2);
+    # the remainder rank, the anisotropic dimension, is
+    G = transformed(base, random_unimodular(base.n, random.Random(seed)))
+    res = two_adic_split(G, K)
+    _assert_recomposes(G.matrix, res)
+    assert determinant(res.transform) % 2 == 1
+    even = all(G.matrix[i][i] % 2 == 0 for i in range(G.n))
+    split = _split_form(res)
+    assert even == all(split[i][i] % 2 == 0 for i in range(G.n))
+    assert len(res.remainder) == len(two_adic_split(base, K).remainder)
 
 
 def test_split_rejects_even_determinant():
