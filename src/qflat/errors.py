@@ -1,5 +1,5 @@
 """Error types shared by the budgeted computations in this package."""
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(ValueError):
     """The requested computation would exceed the operation budget."""

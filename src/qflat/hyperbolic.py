@@ -32,7 +32,7 @@ from .intervals import Interval, acosh_interval
 from .lattice import Lattice
 
 
-class ZeroVector(Exception):
+class ZeroVector(ValueError):
     """The zero vector cannot be classified or reflected in."""
 
 

@@ -6,8 +6,9 @@ bracketed with integer isqrt at a requested bit count. The handful of
 transcendental values needed elsewhere (pi, e, exp, log) are evaluated by
 mpmath's outward-rounded interval context and their endpoints pulled back
 into Fractions exactly, so every Interval produced here is a certified
-enclosure. The working precision defaults to 128 bits and can be raised
-through the QF_PRECISION_BITS environment variable.
+enclosure. The working precision defaults to 128 bits and is set through
+the QF_PRECISION_BITS environment variable or a `bits` argument; either
+must be a positive integer.
 """
 
 from __future__ import annotations
@@ -22,16 +23,20 @@ from mpmath import iv
 DEFAULT_PRECISION_BITS = 128
 
 
-def precision_bits() -> int:
-    """Working precision in bits, from QF_PRECISION_BITS when set."""
-    raw = os.environ.get("QF_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        return DEFAULT_PRECISION_BITS
-    return max(16, bits)
+def precision_bits(bits: int | None = None) -> int:
+    """Working precision in bits: `bits` when given, else QF_PRECISION_BITS
+    when set, else DEFAULT_PRECISION_BITS.  A count that is not a positive
+    integer raises ValueError."""
+    if bits is None:
+        raw = os.environ.get("QF_PRECISION_BITS", DEFAULT_PRECISION_BITS)
+        try:
+            bits = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"QF_PRECISION_BITS must be an integer, got {raw!r}") from None
+    if bits <= 0:
+        raise ValueError(f"precision must be a positive bit count, got {bits}")
+    return bits
 
 
 class Interval:
@@ -42,6 +47,8 @@ class Interval:
     def __init__(self, lo, hi=None):
         if hi is None:
             hi = lo
+        if isinstance(lo, float) or isinstance(hi, float):
+            raise TypeError("interval endpoints must be exact, not float")
         lo = Fraction(lo)
         hi = Fraction(hi)
         if lo > hi:
@@ -53,7 +60,7 @@ class Interval:
 
     @staticmethod
     def point(x) -> "Interval":
-        return Interval(Fraction(x))
+        return Interval(x)
 
     # -- predicates --------------------------------------------------------
 
@@ -159,14 +166,14 @@ class Interval:
         """Certified square root bracket via integer isqrt at 2^bits scaling."""
         if self.lo < 0:
             raise ValueError("sqrt of an interval with negative points")
-        bits = precision_bits() if bits is None else bits
+        bits = precision_bits(bits)
         return Interval(_sqrt_lower(self.lo, bits), _sqrt_upper(self.hi, bits))
 
 
 def _as_interval(x) -> Interval:
     if isinstance(x, Interval):
         return x
-    return Interval(Fraction(x))
+    return Interval(x)
 
 
 def _floor_frac(x: Fraction) -> int:
@@ -238,24 +245,24 @@ class _IvPrecision:
 
 
 def pi_interval(bits: int | None = None) -> Interval:
-    with _IvPrecision(bits or precision_bits()):
+    with _IvPrecision(precision_bits(bits)):
         return _from_iv(+iv.pi)
 
 
 def e_interval(bits: int | None = None) -> Interval:
-    with _IvPrecision(bits or precision_bits()):
+    with _IvPrecision(precision_bits(bits)):
         return _from_iv(+iv.e)
 
 
 def exp_interval(x: Interval, bits: int | None = None) -> Interval:
-    with _IvPrecision(bits or precision_bits()):
+    with _IvPrecision(precision_bits(bits)):
         return _from_iv(iv.exp(_to_iv(x)))
 
 
 def log_interval(x: Interval, bits: int | None = None) -> Interval:
     if x.lo <= 0:
         raise ValueError("log needs a strictly positive interval")
-    with _IvPrecision(bits or precision_bits()):
+    with _IvPrecision(precision_bits(bits)):
         return _from_iv(iv.log(_to_iv(x)))
 
 
@@ -263,7 +270,6 @@ def acosh_interval(x: Interval, bits: int | None = None) -> Interval:
     """acosh over [1, inf), as log(x + sqrt(x^2 - 1))."""
     if x.lo < 1:
         raise ValueError("acosh needs an interval inside [1, inf)")
-    bits = bits or precision_bits()
     inner = x + (x.square() - 1).sqrt(bits)
     return log_interval(inner, bits)
 
@@ -272,7 +278,6 @@ def pow_half_integer(x: Interval, half_exponent: int, bits: int | None = None) -
     """x^(half_exponent / 2) for x >= 0, certified."""
     if x.lo < 0:
         raise ValueError("half-integer powers need a nonnegative interval")
-    bits = bits or precision_bits()
     if half_exponent % 2 == 0:
         return x.pow_int(half_exponent // 2)
     if half_exponent > 0:

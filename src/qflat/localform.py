@@ -36,7 +36,6 @@ from .intervals import (
     pi_interval,
     e_interval,
     pow_half_integer,
-    precision_bits,
 )
 
 
@@ -652,7 +651,6 @@ def omega_rational_coefficient(n):
 
 def omega_interval(n, bits=None):
     """Certified interval for the volume of the unit n-ball."""
-    bits = bits or precision_bits()
     c, e = omega_rational_coefficient(n)
     pi = pi_interval(bits)
     return pi.pow_int(e) * Interval.point(c)
@@ -660,7 +658,6 @@ def omega_interval(n, bits=None):
 
 def stirling_omega_upper(n, bits=None):
     """Upper bound for omega_n from Stirling: (1/sqrt(n pi)) (2 pi e / n)^(n/2)."""
-    bits = bits or precision_bits()
     pi = pi_interval(bits)
     e = e_interval(bits)
     lead = Interval.point(1) / (Interval.point(n) * pi).sqrt(bits)
@@ -681,7 +678,6 @@ def infinity_density(n, disc, y, bits=None):
     disc = Fraction(disc)
     if y <= 0 or disc <= 0:
         raise ValueError("y and disc must be positive")
-    bits = bits or precision_bits()
     lead = Interval.point(Fraction(n, 2)) / Interval.point(disc).sqrt(bits)
     ypow = pow_half_integer(Interval.point(y), n - 2, bits)
     return lead * omega_interval(n, bits) * ypow

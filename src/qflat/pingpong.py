@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from .exact import (common_denominator, content, freeze, identity,
                     mat_inverse, mat_mul, mat_vec, solve)
 from .gram import GramForm
-from .intervals import Interval, log_interval, precision_bits
+from .intervals import Interval, log_interval
 
 
 class NotHyperbolic(Exception):
@@ -217,7 +217,6 @@ def translation_length(g, k=None, *, bits=None, k_max=256):
             "traces stay in the unit-circle range; no dominant eigenvalue")
     lvl, t = best
     lo, hi = t - (n - 1), t + (n - 2)
-    bits = bits or precision_bits()
     return log_interval(Interval(Fraction(lo), Fraction(hi)), bits) * \
         Interval(Fraction(1, lvl))
 

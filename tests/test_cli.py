@@ -1,8 +1,12 @@
 """Command-line behavior: outputs, exit codes, JSON determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflat.cli import main
 from qflat.gram import GramForm, e8_form, identity_form, parse_gram_text
@@ -258,14 +262,30 @@ def test_indefinite_form_names_the_cause(forms, capsys):
     ["split2", "--form", "{z4}"],
     ["split2", "--form", "{h}", "--k", "2"],
     ["jordan", "--form", "{e8}", "--p", "3", "--k", "0"],
+    ["classify-root", "--form", "{h}", "--vector", "0,0"],
+    ["reflect", "--form", "{u22}", "--root", "0,0,0", "--vector", "1,2,3"],
+    ["density", "--form", "{h}", "--p", "2", "--m", "1024", "--kmax", "30"],
+    ["infdensity", "--n", "4", "--disc", "1", "--m", "8", "--precision", "0"],
+    ["ledger41", "--precision", "-4"],
 ], ids=["autord-z9", "reflect-not-a-root", "prop41-negative-king",
         "density-m0", "density-m-3", "split2-anisotropic-z4", "split2-k2",
-        "jordan-k0"])
+        "jordan-k0", "classify-root-zero", "reflect-zero-root",
+        "density-over-budget", "infdensity-precision-0",
+        "ledger41-precision-negative"])
 def test_input_errors_exit_2_with_one_line(forms, capsys, argv):
     code, out, err = run(capsys, *(a.format(**forms) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("qf: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-8"])
+def test_bad_precision_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("QF_PRECISION_BITS", value)
+    code, out, err = run(capsys, "infdensity", "--n", "4", "--disc", "1",
+                         "--m", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("qf: ") and err.count("\n") == 1
 
 
 def test_unknown_flag_exits_2(forms, capsys):
@@ -297,3 +317,67 @@ def test_precision_env_var(forms, capsys, monkeypatch):
         from fractions import Fraction
         widths[bits] = Fraction(hi) - Fraction(lo)
     assert widths["256"] < widths["32"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: no input reaches the user as a traceback
+
+
+def _fuzz_vector(draw, n):
+    v = draw(st.one_of(st.just([0] * n),
+                       st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    return ",".join(str(x) for x in v)
+
+
+@st.composite
+def cheap_calls(draw):
+    """(Gram rows, argv without --form) for a subcommand that stays cheap
+    on small forms; the rows may be singular or indefinite."""
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    name = draw(st.sampled_from(["classify-root", "reflect", "complement",
+                                 "factors", "dual", "jordan", "split2",
+                                 "density"]))
+    if name == "reflect":
+        options = ["--root=" + _fuzz_vector(draw, n),
+                   "--vector=" + _fuzz_vector(draw, n)]
+    elif name in ("classify-root", "complement"):
+        options = ["--vector=" + _fuzz_vector(draw, n)]
+    elif name == "jordan":
+        options = ["--p", str(draw(st.sampled_from([3, 5, 7]))),
+                   "--k", str(draw(st.integers(1, 6)))]
+    elif name == "split2":
+        options = ["--k", str(draw(st.integers(2, 8)))]
+    elif name == "density":
+        options = ["--p", str(draw(st.sampled_from([2, 3, 5]))),
+                   f"--m={draw(st.integers(-1, 12))}",
+                   "--kmax", str(draw(st.integers(1, 4)))]
+    else:
+        options = []
+    return gram, [name, *options, *draw(st.sampled_from([[], ["--json"]]))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_form(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.qf"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cheap_calls())
+def test_fuzzed_calls_exit_cleanly(fuzz_form, call):
+    gram, argv = call
+    fuzz_form.write_text(f"{len(gram)}\n"
+                         + "".join(" ".join(map(str, r)) + "\n" for r in gram))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], "--form", str(fuzz_form), *argv[1:]])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("qf: ")
+        assert err.getvalue().count("\n") == 1
+    elif "--json" in argv:
+        assert (code == 1) == (json.loads(out.getvalue()).get("pass") is False)

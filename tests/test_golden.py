@@ -137,6 +137,16 @@ def test_golden_covers_every_subcommand(golden):
     assert set(golden) == {_key(c, j) for c in CASES for j in (False, True)}
 
 
+def test_exit_1_exactly_on_pass_false(golden):
+    checked = 0
+    for key, got in golden.items():
+        if key.endswith(" --json") and got["exit"] in (0, 1):
+            doc = json.loads(got["stdout"])
+            assert (got["exit"] == 1) == (doc.get("pass") is False), key
+            checked += 1
+    assert checked >= 35
+
+
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c) for c in CASES])
 def test_golden_output(case, json_mode, forms_dir, golden, monkeypatch):

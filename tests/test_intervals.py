@@ -126,4 +126,26 @@ def test_precision_env(monkeypatch):
     monkeypatch.setenv("QF_PRECISION_BITS", "256")
     assert precision_bits() == 256
     monkeypatch.setenv("QF_PRECISION_BITS", "junk")
-    assert precision_bits() == 128
+    with pytest.raises(ValueError):
+        precision_bits()
+
+
+def test_precision_bits_argument(monkeypatch):
+    monkeypatch.setenv("QF_PRECISION_BITS", "256")
+    assert precision_bits(64) == 64
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            precision_bits(bad)
+    with pytest.raises(ValueError):
+        Interval(2).sqrt(0)
+    with pytest.raises(ValueError):
+        pi_interval(-1)
+
+
+def test_float_endpoints_rejected():
+    for args in [(0.1,), (0, 0.5), (0.5, 1)]:
+        with pytest.raises(TypeError):
+            Interval(*args)
+    with pytest.raises(TypeError):
+        Interval(1) + 0.5
+    assert Interval("0.1").lo == Fraction(1, 10)
