@@ -32,7 +32,6 @@ from .exact import determinant, dot, identity, mat_mul, mat_vec, transpose
 from .gram import GramForm, orthogonal_sum
 from .intervals import (
     Interval,
-    acosh_interval,  # noqa: F401  (re-exported for callers of this module)
     pi_interval,
     e_interval,
     pow_half_integer,

@@ -15,8 +15,10 @@ from fractions import Fraction
 
 from .enumeration import representation_count
 from .gram import GramForm, hyperbolic_plane, orthogonal_sum
-from .intervals import Interval, pow_half_integer
+from .intervals import Interval, pow_half_integer, precision_bits
 from .localform import (
+    DEFAULT_BUDGET,
+    _unit_count_mod1,
     infinity_density,
     local_density,
     stirling_omega_upper,
@@ -79,12 +81,25 @@ class SiegelRhs:
     unstabilized_primes: tuple
 
 
+def _product(xs):
+    """Product of integers by a balanced tree of multiplications."""
+    while len(xs) > 1:
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0] if xs else 1
+
+
 def siegel_rhs(G, m, prime_bound=10_000, *, bits=None, k_max=6,
                budget=None):
     """Certified interval for the truncated representation-density product.
 
-    The Euler product stops at `prime_bound`; the tail is reported as a
-    truncation, not bounded.
+    At p not dividing 2*m*det the density is the level-1 unit count over
+    p^(n-1), which Hensel lifting keeps at every level: with h = n // 2,
+    (p^h - chi(p))/p^h for even n and (p^h + chi(p))/p^h for odd n.  Other
+    primes go through `local_density`.  Numerators and denominators are
+    multiplied in product trees and reduced once, into the exact
+    `local_product`.  epsilon * local_product, and then the result, are
+    rounded outward to `precision_bits(bits)`.  The Euler product stops at
+    `prime_bound`; the tail is reported as a truncation, not bounded.
     """
     if not isinstance(G, GramForm):
         G = GramForm(G)
@@ -92,20 +107,24 @@ def siegel_rhs(G, m, prime_bound=10_000, *, bits=None, k_max=6,
         raise ValueError("m must be >= 1")
     if prime_bound < 2:
         raise ValueError("prime_bound must be >= 2")
-    n = G.n
+    n, det = G.n, G.determinant
     eps = Fraction(1, 2) if n == 2 else Fraction(1)
-    kwargs = {"k_max": k_max}
-    if budget is not None:
-        kwargs["budget"] = budget
-    prod = Fraction(1)
-    loose = []
+    budget = DEFAULT_BUDGET if budget is None else budget
+    nums, dens, loose = [], [], []
     for p in _primes_up_to(prime_bound):
-        d = local_density(G, p, m, **kwargs)
+        if (2 * m * det) % p:
+            nums.append(_unit_count_mod1(n, det, p, m) // p ** ((n - 1) // 2))
+            dens.append(p ** (n // 2))
+            continue
+        d = local_density(G, p, m, k_max=k_max, budget=budget)
         if not d.stabilized:
             loose.append(p)
-        prod *= d.value
-    arch = infinity_density(n, abs(G.determinant), Fraction(m), bits=bits)
-    total = arch * Interval(eps * prod)
+        nums.append(d.value.numerator)
+        dens.append(d.value.denominator)
+    prod = Fraction(_product(nums), _product(dens))
+    b = precision_bits(bits)
+    arch = infinity_density(n, abs(det), Fraction(m), bits=bits)
+    total = (arch * Interval(eps * prod).round_out(b)).round_out(b)
     return SiegelRhs(total, eps, prime_bound, prod, arch, True, tuple(loose))
 
 

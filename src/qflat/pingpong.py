@@ -661,6 +661,8 @@ def schottky_certify(g1, g2, m_max=20):
     certificate is sound: the powered pair generates a free group of
     rank 2.  Failure to find one proves nothing.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     A1, A2 = _matrix_of(g1), _matrix_of(g2)
     _require_disc_isometry(A1)
     _require_disc_isometry(A2)

@@ -267,11 +267,12 @@ def test_indefinite_form_names_the_cause(forms, capsys):
     ["density", "--form", "{h}", "--p", "2", "--m", "1024", "--kmax", "30"],
     ["infdensity", "--n", "4", "--disc", "1", "--m", "8", "--precision", "0"],
     ["ledger41", "--precision", "-4"],
+    ["pingpong", "--g1", "{g1}", "--g2", "{g2}", "--mmax", "0"],
 ], ids=["autord-z9", "reflect-not-a-root", "prop41-negative-king",
         "density-m0", "density-m-3", "split2-anisotropic-z4", "split2-k2",
         "jordan-k0", "classify-root-zero", "reflect-zero-root",
         "density-over-budget", "infdensity-precision-0",
-        "ledger41-precision-negative"])
+        "ledger41-precision-negative", "pingpong-mmax0"])
 def test_input_errors_exit_2_with_one_line(forms, capsys, argv):
     code, out, err = run(capsys, *(a.format(**forms) for a in argv))
     assert code == 2 and out == ""

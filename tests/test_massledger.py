@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qflat.exact import determinant
 from qflat.gram import GramForm, e8_form, hyperbolic_plane, identity_form
 from qflat.intervals import Interval
 from qflat.localform import BudgetExceeded, infinity_density, local_density
 from qflat.massledger import (
     EmptyGenus,
+    _primes_up_to,
     GenusInput,
     NonPositiveInput,
     bounds_ledger_41,
@@ -120,6 +124,68 @@ def test_siegel_rhs_interval_nesting():
 def test_siegel_rhs_budget_propagates():
     with pytest.raises(BudgetExceeded):
         siegel_rhs(identity_form(4), 2, prime_bound=100, budget=1)
+
+
+A2 = GramForm(((2, 1), (1, 2)))
+D4 = GramForm(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+# determinant 40: the odd prime 5 is a bad prime for every m
+ODD5 = GramForm(((2, 1, 0), (1, 4, 1), (0, 1, 6)))
+EULER_FORMS = ([(f"Z{n}", identity_form(n)) for n in range(1, 9)]
+               + [("A2", A2), ("D4", D4), ("E8", e8_form()), ("det40", ODD5)])
+
+
+@pytest.mark.parametrize("name, G", EULER_FORMS,
+                         ids=[name for name, _ in EULER_FORMS])
+def test_siegel_rhs_matches_the_per_prime_product(name, G):
+    """The Euler product against the definition: one `local_density` per
+    prime, multiplied in order."""
+    assert ODD5.determinant == 40 and D4.determinant == 4
+    any_loose = False
+    for m in range(1, 13):
+        bound = (2, 2000, 97, 1000)[m % 4]
+        # k_max = 2 leaves some bad primes unstabilized
+        k_max = 2 if m % 3 == 0 else 6
+        want, loose = Fraction(1), []
+        for p in _primes_up_to(bound):
+            d = local_density(G, p, m, k_max=k_max)
+            want *= d.value
+            if not d.stabilized:
+                loose.append(p)
+        rhs = siegel_rhs(G, m, bound, k_max=k_max)
+        any_loose = any_loose or bool(loose)
+        assert rhs.local_product == want, (name, m)
+        assert rhs.unstabilized_primes == tuple(loose), (name, m)
+        arch = infinity_density(G.n, G.determinant, Fraction(m))
+        exact = rhs.epsilon * want * arch
+        iv = rhs.interval
+        assert iv.lo <= exact.lo and exact.hi <= iv.hi, (name, m)
+        assert iv.width <= iv.hi * Fraction(1, 2 ** 100) + Fraction(1, 2 ** 120)
+        for end in (iv.lo, iv.hi):
+            den = end.denominator
+            assert den & (den - 1) == 0, "endpoints are dyadic"
+    assert any_loose
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), p=st.sampled_from((3, 5, 7, 11, 13)),
+       m=st.integers(1, 40), data=st.data())
+def test_good_prime_factor_matches_direct_count(n, p, m, data):
+    """At p not dividing 2*m*det the factor siegel_rhs uses equals the
+    brute-force count."""
+    assume(p ** (2 * n) <= 30_000)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = data.draw(st.integers(1, 9))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(-2, 2))
+    G = GramForm(tuple(map(tuple, rows)))
+    minors = [determinant([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+    assume(all(d > 0 for d in minors) and (2 * m * G.determinant) % p)
+    before = siegel_rhs(G, m, p - 1).local_product
+    assume(before != 0)
+    count = local_density(G, p, m, method="count")
+    assert count.stabilized
+    assert siegel_rhs(G, m, p).local_product == before * count.value
 
 
 def test_mass_ledger_json_record():

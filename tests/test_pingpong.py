@@ -275,9 +275,16 @@ class TestSchottky:
             schottky_certify(s, cube)
 
     def test_search_exhausted(self):
+        # this pair first plays ping-pong at m = 3
         with pytest.raises(SearchExhausted):
             schottky_certify(symmetric_square(M1), symmetric_square(M2),
-                             m_max=0)
+                             m_max=2)
+
+    def test_no_power_to_try_is_an_input_error(self):
+        for m_max in (0, -1):
+            with pytest.raises(ValueError):
+                schottky_certify(symmetric_square(M1), symmetric_square(M2),
+                                 m_max=m_max)
 
     def test_elliptic_generator_rejected(self):
         rot = symmetric_square(((0, -1), (1, 0)))
