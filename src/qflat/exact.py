@@ -203,28 +203,6 @@ def solve(a: Matrix, b: Sequence) -> tuple:
     return span_coordinates(a, b)
 
 
-def charpoly(a: Matrix) -> tuple:
-    """Characteristic polynomial of a square matrix, coefficients high to low.
-
-    Returned as Fractions (c0, c1, ..., cn) with c0 = 1, via the
-    Faddeev-LeVerrier recursion, so the computation stays exact.
-    """
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("charpoly of a non-square matrix")
-    af = tuple(tuple(Fraction(x) for x in row) for row in a)
-    coeffs = [Fraction(1)]
-    mk = identity(n, Fraction(1))
-    for k in range(1, n + 1):
-        am = mat_mul(af, mk)
-        c = -Fraction(sum(am[i][i] for i in range(n)), k)
-        coeffs.append(c)
-        mk = tuple(
-            tuple(am[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-        )
-    return tuple(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

@@ -74,15 +74,6 @@ class DensityValue:
     method: str
     history: tuple = ()
 
-    def to_json_dict(self):
-        return {
-            "p": self.p,
-            "m": self.m,
-            "value": [str(self.value.numerator), str(self.value.denominator)],
-            "stabilized_at_k": self.k if self.stabilized else None,
-            "method": self.method,
-        }
-
 
 def _is_prime(p):
     if p < 2:

@@ -8,7 +8,11 @@ circle of the binary-forms model (the 3-dimensional discriminant pairing),
 which has a rational parametrization: every dynamical step reduces to
 Moebius maps with integer entries acting on rational points, so all
 certificate checks are exact.  Axis endpoints themselves live in a real
-quadratic field and are returned exactly.
+quadratic field and are returned exactly.  One closed-form rule names the
+attracting fixed point of a boundary map ((p, q), (r, s)): its eigenvalue
+(p + s +- sqrt(disc))/2 takes the sign of the trace p + s, so it is the
+larger one in absolute value.  The axis certifies that eigenvalue, and the
+certificate's inclusions at power m check the arcs built around it.
 """
 
 from __future__ import annotations
@@ -186,39 +190,23 @@ def translation_length(g, k=None, *, bits=None, k_max=256):
 
     Requires an isometry of a form with at most one negative eigenvalue,
     so the spectrum is {lam, 1/lam} plus unit-circle values; then the
-    exact trace of g^k pins e^(k*length) between integers.  Pass k to fix
-    the certification level, otherwise it doubles until the bracket is
-    decisive.  Raises NotHyperbolic when no trace up to level k_max ever
-    leaves the unit-circle range.
+    exact trace of g^k pins e^(k*length) between integers.  The level is
+    k when given, else k_max; a higher level gives a narrower interval.
+    Raises NotHyperbolic when the trace at that level stays in the
+    unit-circle range.
     """
     A = _matrix_of(g)
     n = len(A)
-    if k is not None:
-        if k < 1:
-            raise ValueError("level k must be positive")
-        levels = [k]
-    else:
-        levels, j = [], 1
-        while j <= k_max:
-            levels.append(j)
-            j *= 2
-    power, at, best = A, 1, None
-    for lvl in levels:
-        while at < lvl:
-            power = mat_mul(power, power)
-            at *= 2
-        if at != lvl:
-            power, at = _mat_pow(A, lvl), lvl
-        t = abs(sum(power[i][i] for i in range(n)))
-        if t >= n + 2:
-            best = (lvl, t)
-    if best is None:
+    level = k_max if k is None else k
+    if level < 1:
+        raise ValueError(f"level must be positive, got {level}")
+    t = abs(sum(row[i] for i, row in enumerate(_mat_pow(A, level))))
+    if t < n + 2:
         raise NotHyperbolic(
             "traces stay in the unit-circle range; no dominant eigenvalue")
-    lvl, t = best
     lo, hi = t - (n - 1), t + (n - 2)
     return log_interval(Interval(Fraction(lo), Fraction(hi)), bits) * \
-        Interval(Fraction(1, lvl))
+        Interval(Fraction(1, level))
 
 
 def _mat_pow(A, k):
@@ -332,7 +320,17 @@ def _mobius_of(A):
 
 
 def _fixed_point_data(mu):
-    """Coefficients of the fixed-point quadratic and its discriminant."""
+    """Fixed-point quadratic of mu, its discriminant, and the attracting sign.
+
+    The fixed points t of mu = ((p, q), (r, s)) are the roots of
+    rho t^2 + sigma t + kappa = r t^2 + (s - p) t - q.  For r != 0 the
+    root (-sigma + e*sqrt(disc))/(2r) has eigenvector (t, 1) with
+    eigenvalue (p + s + e*sqrt(disc))/2, so it attracts for e the sign of
+    the trace p + s.  For r = 0 the fixed points are infinity (eigenvalue
+    p) and -kappa/sigma (eigenvalue s), and e = 1 means infinity attracts.
+    Negating mu negates r, sigma and e together, so the attracting point
+    does not depend on the sign _mobius_of happens to return.
+    """
     (p, q), (r, s) = mu
     rho, sigma, kappa = r, s - p, -q
     if rho == 0 and sigma == 0 and kappa == 0:
@@ -342,7 +340,9 @@ def _fixed_point_data(mu):
         raise NotHyperbolic("no pair of real fixed rays")
     if p + s == 0:
         raise NotHyperbolic("boundary action is an involution")
-    return (rho, sigma, kappa), disc
+    if rho == 0:
+        return (rho, sigma, kappa), disc, 1 if abs(p) > abs(s) else -1
+    return (rho, sigma, kappa), disc, 1 if p + s > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +364,9 @@ def translation_axis(g, form=None):
 
     The fixed points of the induced Moebius map are roots of an integer
     quadratic, so the rays come out with coordinates in Q(sqrt(disc));
-    both are certified isotropic and certified eigenvectors, and the
-    dominant eigenvalue labels the attracting one.
+    the trace sign of _fixed_point_data names the attracting one.  Both
+    rays are certified isotropic and certified eigenvectors, and the
+    attracting ray's eigenvalue is certified to exceed 1 in absolute value.
     """
     A = _matrix_of(g)
     if form is not None and freeze(getattr(form, "matrix", form)) \
@@ -373,52 +374,30 @@ def translation_axis(g, form=None):
         raise UnsupportedBoundary(
             "axis extraction runs on binary_disc_form() only")
     _require_disc_isometry(A)
-    mu = _mobius_of(A)
-    (rho, sigma, kappa), disc = _fixed_point_data(mu)
-    roots = []
+    (rho, sigma, kappa), disc, e = _fixed_point_data(_mobius_of(A))
+    one = QuadraticNumber.make(1)
     if rho != 0:
-        root = isqrt(disc)
-        if root * root == disc:
-            for sgn in (1, -1):
-                t = Fraction(-sigma + sgn * root, 2 * rho)
-                roots.append((QuadraticNumber.make(t), QuadraticNumber.make(1)))
-        else:
-            for sgn in (1, -1):
-                t = QuadraticNumber.make(
-                    Fraction(-sigma, 2 * rho), Fraction(sgn, 2 * rho), disc)
-                roots.append((t, QuadraticNumber.make(1)))
+        points = [(QuadraticNumber.make(Fraction(-sigma, 2 * rho),
+                                        Fraction(sgn * e, 2 * rho), disc), one)
+                  for sgn in (1, -1)]
     else:
-        roots.append((QuadraticNumber.make(1), QuadraticNumber.make(0)))
-        roots.append((QuadraticNumber.make(Fraction(-kappa, sigma)),
-                      QuadraticNumber.make(1)))
+        points = [(one, QuadraticNumber.make(0)),
+                  (QuadraticNumber.make(Fraction(-kappa, sigma)), one)]
+        if e < 0:
+            points.reverse()
     rays = []
-    for x, y in roots:
-        ray = (y * y, QuadraticNumber.make(-2) * x * y, x * x)
-        b, ac = ray[1] * ray[1], ray[0] * ray[2]
-        assert (b - 4 * ac).sign() == 0
-        image = _qvec(A, ray)
+    for x, y in points:
+        ray = (y * y, -2 * x * y, x * x)
+        assert (ray[1] * ray[1] - 4 * ray[0] * ray[2]).sign() == 0
+        image = mat_vec(A, ray)
         nz = next(i for i in range(3) if ray[i].sign() != 0)
         nu = image[nz] / ray[nz]
         assert all((image[i] - nu * ray[i]).sign() == 0 for i in range(3))
         rays.append((ray, nu))
-    (ray1, nu1), (ray2, nu2) = rays
-    s1 = ((nu1 - 1).sign() > 0) or ((nu1 + 1).sign() < 0)
-    s2 = ((nu2 - 1).sign() > 0) or ((nu2 + 1).sign() < 0)
-    if s1 == s2:
-        raise NotHyperbolic("no dominant boundary eigenvalue")
-    if s1:
-        return AxisRays(ray1, ray2, nu1, ray1[0].d or ray1[2].d)
-    return AxisRays(ray2, ray1, nu2, ray2[0].d or ray2[2].d)
-
-
-def _qvec(A, v):
-    out = []
-    for row in A:
-        acc = QuadraticNumber.make(0)
-        for x, c in zip(row, v):
-            acc = acc + c * Fraction(x)
-        out.append(acc)
-    return tuple(out)
+    (att, nu), (rep, _) = rays
+    if not ((nu - 1).sign() > 0 or (nu + 1).sign() < 0):
+        raise AssertionError("attracting ray has no dominant eigenvalue")
+    return AxisRays(att, rep, nu, att[0].d or att[2].d)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +438,10 @@ class _RootArc:
     """Shrinkable rational arc around one fixed point of a Moebius map.
 
     Shapes keep the arc inside a region where the chart box cuts the
-    boundary circle exactly along the arc: strictly one-signed bands,
-    or symmetric neighborhoods of 0 and of infinity.
+    boundary circle exactly along the arc: a band (lo, hi) that is
+    one-signed or symmetric about 0, or a symmetric neighborhood of
+    infinity.  A rational band shrinks to its middle half; an irrational
+    band (phi set) keeps the half holding its root of phi.
     """
 
     def __init__(self, shape, data, phi=None):
@@ -470,12 +451,7 @@ class _RootArc:
 
     @staticmethod
     def around_rational(t, other):
-        if t == 0:
-            width = Fraction(1, 2)
-            if other is not None and other != 0:
-                width = min(width, abs(other) / 2)
-            return _RootArc("zero", width)
-        w = abs(t) / 2
+        w = abs(t) / 2 if t else Fraction(1, 2)
         if other is not None:
             w = min(w, abs(t - other) / 2)
         return _RootArc("band", (t - w, t + w))
@@ -487,59 +463,39 @@ class _RootArc:
             n = max(n, 2 * abs(other) + 1)
         return _RootArc("inf", n)
 
-    @staticmethod
-    def around_irrational(lo, hi, phi):
-        return _RootArc("band", (lo, hi), phi)
-
     def refine(self):
-        if self.shape == "zero":
-            self.data = self.data / 2
-        elif self.shape == "inf":
+        if self.shape == "inf":
             self.data = self.data * 2
-        else:
-            lo, hi = self.data
-            mid = (lo + hi) / 2
-            if self.phi is None:
-                quarter = (hi - lo) / 4
-                self.data = (mid - quarter, mid + quarter)
-            else:
-                rho, sigma, kappa = self.phi
-                flo = rho * lo * lo + sigma * lo + kappa
-                fmid = rho * mid * mid + sigma * mid + kappa
-                if (flo > 0) == (fmid > 0):
-                    self.data = (mid, hi)
-                else:
-                    self.data = (lo, mid)
-
-    def make_sign_definite(self):
-        if self.shape != "band":
             return
-        for _ in range(400):
-            lo, hi = self.data
-            if lo > 0 or hi < 0:
-                return
-            self.refine()
-        raise AssertionError("band failed to leave zero")
+        lo, hi = self.data
+        mid = (lo + hi) / 2
+        if self.phi is None:
+            quarter = (hi - lo) / 4
+            self.data = (mid - quarter, mid + quarter)
+        else:
+            rho, sigma, kappa = self.phi
+            flo = rho * lo * lo + sigma * lo + kappa
+            fmid = rho * mid * mid + sigma * mid + kappa
+            if (flo > 0) == (fmid > 0):
+                self.data = (mid, hi)
+            else:
+                self.data = (lo, mid)
 
     def endpoints(self):
-        if self.shape == "zero":
-            return _proj(-self.data, 1), _proj(self.data, 1)
         if self.shape == "inf":
             return _proj(self.data, 1), _proj(-self.data, 1)
         lo, hi = self.data
         return _proj(lo, 1), _proj(hi, 1)
 
     def chart_box(self, label):
-        if self.shape == "zero":
-            d = self.data
-            return ChartBox(label, _chart_u(d), Fraction(1),
-                            _chart_w(d), -_chart_w(d))
         if self.shape == "inf":
             n = self.data
             return ChartBox(label, Fraction(0), _chart_u(n),
                             _chart_w(n), -_chart_w(n))
         lo, hi = self.data
         us = sorted((_chart_u(lo), _chart_u(hi)))
+        if lo < 0 < hi:
+            us[1] = Fraction(1)
         ws = [_chart_w(lo), _chart_w(hi)]
         if lo < 1 < hi:
             ws.append(_chart_w(Fraction(1)))
@@ -549,45 +505,35 @@ class _RootArc:
 
 
 def _fixed_point_arcs(mu):
-    (rho, sigma, kappa), disc = _fixed_point_data(mu)
+    """Arcs (attracting, repelling) around the two fixed points of mu.
+
+    _fixed_point_data's trace sign picks the attracting point.  Irrational
+    roots get the two halves of a band split at the vertex of phi, each
+    bisected until it excludes 0 (an irrational root is never 0).
+    """
+    (rho, sigma, kappa), disc, e = _fixed_point_data(mu)
     if rho == 0:
         finite = Fraction(-kappa, sigma)
-        return [_RootArc.around_infinity(finite),
-                _RootArc.around_rational(finite, None)]
+        inf = _RootArc.around_infinity(finite)
+        fin = _RootArc.around_rational(finite, None)
+        return (inf, fin) if e > 0 else (fin, inf)
     root = isqrt(disc)
     if root * root == disc:
-        t1 = Fraction(-sigma + root, 2 * rho)
-        t2 = Fraction(-sigma - root, 2 * rho)
-        return [_RootArc.around_rational(t1, t2),
-                _RootArc.around_rational(t2, t1)]
+        t1 = Fraction(-sigma + e * root, 2 * rho)
+        t2 = Fraction(-sigma - e * root, 2 * rho)
+        return (_RootArc.around_rational(t1, t2),
+                _RootArc.around_rational(t2, t1))
     bound = 1 + max(abs(sigma), abs(kappa)) / abs(Fraction(rho))
     vertex = Fraction(-sigma, 2 * rho)
     phi = (rho, sigma, kappa)
-    return [_RootArc.around_irrational(-bound, vertex, phi),
-            _RootArc.around_irrational(vertex, bound, phi)]
-
-
-def _maps_strictly_inside(mu, arc):
-    lo, hi = arc.endpoints()
-    il, ih = _apply_mobius(mu, lo), _apply_mobius(mu, hi)
-    if _mat2_det(mu) < 0:
-        il, ih = ih, il
-    return _arc_included(il, ih, lo, hi)
-
-
-def _label_arcs(mu, arcs):
+    above = _RootArc("band", (vertex, bound), phi)
+    below = _RootArc("band", (-bound, vertex), phi)
+    # (-sigma + e*sqrt(disc))/(2 rho) lies above the vertex iff e*rho > 0
+    arcs = (above, below) if e * rho > 0 else (below, above)
     for arc in arcs:
-        arc.make_sign_definite()
-    inv = _mat2_adj(mu)
-    for _ in range(300):
-        fwd = [_maps_strictly_inside(mu, a) for a in arcs]
-        bwd = [_maps_strictly_inside(inv, a) for a in arcs]
-        for i in (0, 1):
-            if fwd[i] and bwd[1 - i]:
-                return arcs[i], arcs[1 - i]
-        for arc in arcs:
+        while arc.data[0] <= 0 <= arc.data[1]:
             arc.refine()
-    raise AssertionError("failed to separate attracting and repelling arcs")
+    return arcs
 
 
 def _resultant(phi1, phi2):
@@ -667,12 +613,12 @@ def schottky_certify(g1, g2, m_max=20):
     _require_disc_isometry(A1)
     _require_disc_isometry(A2)
     mu1, mu2 = _mobius_of(A1), _mobius_of(A2)
-    phi1, _ = _fixed_point_data(mu1)
-    phi2, _ = _fixed_point_data(mu2)
+    phi1, _, _ = _fixed_point_data(mu1)
+    phi2, _, _ = _fixed_point_data(mu2)
     if _resultant(phi1, phi2) == 0:
         raise SharedEndpoint("the axes share a boundary ray")
-    att1, rep1 = _label_arcs(mu1, _fixed_point_arcs(mu1))
-    att2, rep2 = _label_arcs(mu2, _fixed_point_arcs(mu2))
+    att1, rep1 = _fixed_point_arcs(mu1)
+    att2, rep2 = _fixed_point_arcs(mu2)
     labeled = [("g1+", att1), ("g1-", rep1), ("g2+", att2), ("g2-", rep2)]
     for _ in range(300):
         boxes = [arc.chart_box(label) for label, arc in labeled]

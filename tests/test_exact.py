@@ -158,23 +158,3 @@ def test_inverse_and_solve():
     assert x == (Fraction(2, 3), Fraction(-1, 3))
     with pytest.raises(exact.SingularMatrix):
         exact.mat_inverse(exact.freeze([[1, 2], [2, 4]]))
-
-
-def test_charpoly_companion():
-    # companion matrix of x^3 - 2x - 5
-    a = exact.freeze([[0, 0, 5], [1, 0, 2], [0, 1, 0]])
-    assert exact.charpoly(a) == (
-        Fraction(1),
-        Fraction(0),
-        Fraction(-2),
-        Fraction(-5),
-    )
-
-
-def test_determinant_matches_charpoly_constant():
-    rng = random.Random(23)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = exact.freeze([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        cp = exact.charpoly(a)
-        assert cp[-1] == (-1) ** n * exact.determinant(a)

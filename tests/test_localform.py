@@ -150,14 +150,6 @@ def test_budget_guard():
         local_density(identity_form(5), 3, 1, method="count", budget=100)
 
 
-def test_density_json_record():
-    d = local_density(hyperbolic_plane(), 2, 3)
-    rec = d.to_json_dict()
-    assert rec["p"] == 2 and rec["m"] == 3
-    assert rec["value"] == ["0", "1"]
-    assert rec["stabilized_at_k"] == d.k
-
-
 def test_rejects_composite_p():
     with pytest.raises(ValueError):
         local_density(identity_form(2), 6, 1)

@@ -1,8 +1,11 @@
 """Axis, translation-length, and ping-pong certificate tests."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflat.exact import freeze, identity, mat_inverse, mat_mul, mat_vec, transpose
 from qflat.gram import GramForm, hyperbolic_plane, orthogonal_sum
@@ -10,6 +13,7 @@ from qflat.hyperbolic import (cartan_involution, hyperbolic_distance,
                               reflection_matrix, sheet_point)
 from qflat.intervals import Interval, acosh_interval
 from qflat.pingpong import (AxisRays, NotHyperbolic, QuadraticNumber,
+                            _cross, _fixed_point_arcs, _in_arc, _mobius_of,
                             SchottkyCertificate, SearchExhausted,
                             SharedEndpoint, UnsupportedBoundary,
                             binary_disc_form, free_words_audit,
@@ -217,6 +221,72 @@ class TestTranslationAxis:
             translation_axis(identity(4))
 
 
+def scaled_square(M):
+    """Symmetric square of a rational 2x2 matrix, divided by its determinant.
+
+    Substitution scales b^2 - 4ac by det(M)^2, so the quotient is an
+    isometry of binary_disc_form() for any invertible M.
+    """
+    (p, q), (r, s) = M
+    det = Fraction(p * s - q * r)
+    return tuple(tuple(x / det for x in row) for row in (
+        (p * p, p * r, r * r),
+        (2 * p * q, p * s + q * r, 2 * r * s),
+        (q * q, q * s, s * s)))
+
+
+# det +-1 with trace 0 is an involution and det 1 with |trace| <= 2 is not
+# hyperbolic; integral triangular unimodular matrices never are, so the
+# triangular cases (r = 0 for the boundary map) come from scaled squares
+HYPERBOLIC_UNIMODULAR = [
+    ((p, q), (r, s)) for p, q, r, s in product(range(-6, 7), repeat=4)
+    if (p * s - q * r == 1 and abs(p + s) > 2)
+    or (p * s - q * r == -1 and p + s != 0)]
+TRIANGULAR = [
+    M for p, s, x in product(range(-6, 7), repeat=3)
+    if p and s and abs(p) != abs(s)
+    for M in (((p, x), (0, s)), ((p, 0), (x, s)))]
+
+
+def boundary_point(ray):
+    """The point (x : y) with ray = (y^2, -2xy, x^2), as QuadraticNumbers."""
+    one, zero = QuadraticNumber.make(1), QuadraticNumber.make(0)
+    if ray[0].sign() == 0:
+        return one, zero
+    return -ray[1] / (ray[0] * 2), one
+
+
+def strictly_inside(pt, arc):
+    lo, hi = arc.endpoints()
+    return (_cross(lo, pt) * _cross(pt, hi) * _cross(lo, hi)).sign() < 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.sampled_from(HYPERBOLIC_UNIMODULAR).map(symmetric_square),
+    st.sampled_from(TRIANGULAR).map(scaled_square),
+    st.just(((Fraction(4), 0, 0), (0, Fraction(1), 0),
+             (0, 0, Fraction(1, 4))))))
+def test_axis_rays_lie_in_the_labelled_arcs(A):
+    ax = translation_axis(A)
+    att, rep = _fixed_point_arcs(_mobius_of(freeze(A)))
+    assert strictly_inside(boundary_point(ax.attracting), att)
+    assert strictly_inside(boundary_point(ax.repelling), rep)
+    assert not strictly_inside(boundary_point(ax.attracting), rep)
+
+
+def boxes_contain_arcs(cert):
+    """Every sampled boundary point inside an arc charts into its box."""
+    grid = [(Fraction(k, 8), 1) for k in range(-400, 401)] + [(1, 0)]
+    for box, (lo, hi) in zip(cert.boxes, cert.arcs):
+        inside = [pt for pt in grid if _in_arc(pt, lo, hi)]
+        assert inside
+        for x, y in inside:
+            u, w = (Fraction(y * y, x * x + y * y),
+                    Fraction(-2 * x * y, x * x + y * y))
+            assert box.u_lo <= u <= box.u_hi and box.w_lo <= w <= box.w_hi
+
+
 @pytest.fixture(scope="module")
 def certificate():
     return schottky_certify(symmetric_square(M1), symmetric_square(M2))
@@ -257,6 +327,12 @@ class TestSchottky:
              (0, 0, Fraction(1, 4)))
         cert = schottky_certify(d, symmetric_square(M1))
         assert cert.m <= 20
+        # the boundary map of d fixes 0 and infinity: one band straddles 0
+        # and one arc passes through infinity
+        boxes_contain_arcs(cert)
+
+    def test_boxes_contain_their_arcs(self, certificate):
+        boxes_contain_arcs(certificate)
 
     def test_same_generator_shares_endpoints(self):
         s = symmetric_square(M1)
