@@ -5,7 +5,8 @@ text and its arguments.  A handler reads its inputs, makes its call and
 returns (document, lines) without printing anything; `main` alone prints,
 the text lines by default, or with --json exactly one JSON document with
 all exact values rendered as strings, so identical inputs give
-byte-identical output.
+byte-identical output.  A handler imports what it uses in its own body, so
+a `qf` process loads only the modules its subcommand runs.
 
 Exit code 1 means exactly that the document says "pass": false (a bound
 or certificate that did not hold).  Every input error is a ValueError and
@@ -19,18 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .enumeration import automorphism_order, representation_count, short_vectors
 from .gram import parse_gram_text
-from .hyperbolic import (HyperplaneOf, NegativeRoot, PositiveRoot, Whole,
-                         classify_hyperplane_meet, classify_root,
-                         complement_form, reflect)
-from .lattice import Lattice, dual_lattice, invariant_factors, saturate
-from .localform import (infinity_density, jordan_decompose_odd, local_density,
-                        two_adic_split)
-from .massledger import (GenusInput, bounds_ledger_41, prop41_arithmetic,
-                         siegel_check)
-from .pingpong import (NotHyperbolic, SearchExhausted, SharedEndpoint,
-                       UnsupportedBoundary, schottky_certify, symmetric_square)
 
 
 def _read(path, parse):
@@ -51,6 +41,7 @@ def _form(path):
 def _isometry(text):
     """A JSON {"matrix": rows} text; 2x2 input is lifted to its symmetric
     square, 3x3 input is used directly."""
+    from .pingpong import symmetric_square
     doc = json.loads(text)
     rows = doc.get("matrix") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not rows:
@@ -96,6 +87,7 @@ def _verdict(passed):
 
 
 def _cmd_enumerate(args):
+    from .enumeration import representation_count, short_vectors
     form = _form(args.form)
     doc = {"form_hash": form.form_hash, "m": args.norm}
     if args.count:
@@ -108,6 +100,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_density(args):
+    from .localform import local_density
     if args.m < 1:
         raise ValueError(f"--m must be a positive integer, got {args.m}")
     d = local_density(_form(args.form), args.p, args.m, k_max=args.kmax)
@@ -117,6 +110,7 @@ def _cmd_density(args):
 
 
 def _cmd_infdensity(args):
+    from .localform import infinity_density
     iv = infinity_density(args.n, args.disc, _parse_fraction(args.m),
                           bits=args.precision)
     return ({"p": "inf", "n": args.n, "disc": args.disc, "m": args.m,
@@ -126,6 +120,7 @@ def _cmd_infdensity(args):
 
 
 def _cmd_jordan(args):
+    from .localform import jordan_decompose_odd
     form = _form(args.form)
     if args.p == 2:
         raise ValueError("jordan handles odd primes; use split2 for p = 2")
@@ -138,6 +133,7 @@ def _cmd_jordan(args):
 
 
 def _cmd_split2(args):
+    from .localform import two_adic_split
     res = two_adic_split(_form(args.form), K=args.k)
     lines = [f"{kind}: {mat}" for kind, mat in res.blocks]
     if res.remainder:
@@ -149,6 +145,7 @@ def _cmd_split2(args):
 
 
 def _cmd_saturate(args):
+    from .lattice import Lattice, invariant_factors, saturate
     lat = saturate(Lattice.standard(_form(args.form)))
     factors = invariant_factors(lat)
     return ({"basis": [[str(x) for x in row] for row in lat.basis],
@@ -158,17 +155,20 @@ def _cmd_saturate(args):
 
 
 def _cmd_dual(args):
+    from .lattice import Lattice, dual_lattice
     lat = dual_lattice(Lattice.standard(_form(args.form)))
     return ({"basis": [[str(x) for x in row] for row in lat.basis]},
             [_words(row) for row in lat.basis])
 
 
 def _cmd_factors(args):
+    from .lattice import Lattice, invariant_factors
     factors = invariant_factors(Lattice.standard(_form(args.form)))
     return {"invariant_factors": list(factors)}, [_words(factors)]
 
 
 def _cmd_reflect(args):
+    from .hyperbolic import reflect
     form = _form(args.form)
     v = _parse_vector(args.root, form.n)
     image = reflect(form, v, _parse_vector(args.vector, form.n))
@@ -176,6 +176,7 @@ def _cmd_reflect(args):
 
 
 def _cmd_classify_root(args):
+    from .hyperbolic import NegativeRoot, PositiveRoot, classify_root
     form = _form(args.form)
     result = classify_root(form, _parse_vector(args.vector, form.n))
     if isinstance(result, (PositiveRoot, NegativeRoot)):
@@ -187,12 +188,14 @@ def _cmd_classify_root(args):
 
 
 def _cmd_complement(args):
+    from .hyperbolic import complement_form
     form = _form(args.form)
     comp = complement_form(form, _parse_vector(args.vector, form.n))
     return {"gram": [list(r) for r in comp.matrix]}, comp.text().splitlines()
 
 
 def _cmd_meet(args):
+    from .hyperbolic import HyperplaneOf, Whole, classify_hyperplane_meet
     f, q, t = _form(args.form), _form(args.q), _form(args.t)
     v = _parse_vector(args.vector, f.n)
     result = classify_hyperplane_meet(f, q, t, v, alpha=args.alpha)
@@ -206,6 +209,8 @@ def _cmd_meet(args):
 
 
 def _cmd_mass_check(args):
+    from .enumeration import automorphism_order
+    from .massledger import GenusInput, siegel_check
     form = _form(args.form)
     order = automorphism_order(form) if args.order is None else args.order
     tol = _parse_fraction(args.tol)
@@ -222,6 +227,7 @@ def _cmd_mass_check(args):
 
 
 def _cmd_ledger41(args):
+    from .massledger import bounds_ledger_41
     report = bounds_ledger_41(bits=args.precision)
     lines = [f"{item.name}: {_verdict(item.passed)}" for item in report.items]
     lines.append(f"bounds: {_verdict(report.bounds_passed)}"
@@ -232,6 +238,7 @@ def _cmd_ledger41(args):
 
 
 def _cmd_prop41(args):
+    from .massledger import prop41_arithmetic
     report = prop41_arithmetic(
         king_mass=_parse_fraction(args.king),
         e8_order=args.e8_order,
@@ -241,6 +248,8 @@ def _cmd_prop41(args):
 
 
 def _cmd_pingpong(args):
+    from .pingpong import (NotHyperbolic, SearchExhausted, SharedEndpoint,
+                           UnsupportedBoundary, schottky_certify)
     g1, g2 = _read(args.g1, _isometry), _read(args.g2, _isometry)
     try:
         cert = schottky_certify(g1, g2, m_max=args.mmax)
@@ -258,6 +267,7 @@ def _cmd_pingpong(args):
 
 
 def _cmd_autord(args):
+    from .enumeration import automorphism_order
     form = _form(args.form)
     order = automorphism_order(form, dim_limit=args.dim_limit)
     return {"form_hash": form.form_hash, "order": order}, [str(order)]

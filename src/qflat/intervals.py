@@ -6,9 +6,10 @@ bracketed with integer isqrt at a requested bit count. The handful of
 transcendental values needed elsewhere (pi, e, exp, log) are evaluated by
 mpmath's outward-rounded interval context and their endpoints pulled back
 into Fractions exactly, so every Interval produced here is a certified
-enclosure. The working precision defaults to 128 bits and is set through
-the QF_PRECISION_BITS environment variable or a `bits` argument; either
-must be a positive integer.
+enclosure. mpmath is imported on the first transcendental call, so code
+that never evaluates one never loads it. The working precision defaults to
+128 bits and is set through the QF_PRECISION_BITS environment variable or a
+`bits` argument; either must be a positive integer.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
-from mpmath import iv
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -224,46 +222,50 @@ def _from_iv(x) -> Interval:
     return Interval(_mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b))
 
 
-def _to_iv(x: Interval):
+def _to_iv(x: Interval, iv):
     lo = iv.mpf(x.lo.numerator) / iv.mpf(x.lo.denominator)
     hi = iv.mpf(x.hi.numerator) / iv.mpf(x.hi.denominator)
-    lo_a, _ = lo._mpi_
-    _, hi_b = hi._mpi_
-    return iv.mpf([mpmath.mp.make_mpf(lo_a), mpmath.mp.make_mpf(hi_b)])
+    # iv.mpf([a, b]) keeps a's lower and b's upper endpoint exactly
+    return iv.mpf([lo, hi])
 
 
 class _IvPrecision:
+    """mpmath's interval context at `bits` for one evaluation; the only
+    place mpmath is imported, on the first transcendental call."""
+
     def __init__(self, bits):
         self.bits = bits
 
     def __enter__(self):
-        self.saved = iv.prec
+        from mpmath import iv
+        self.iv, self.saved = iv, iv.prec
         iv.prec = self.bits
+        return iv
 
     def __exit__(self, *exc):
-        iv.prec = self.saved
+        self.iv.prec = self.saved
 
 
 def pi_interval(bits: int | None = None) -> Interval:
-    with _IvPrecision(precision_bits(bits)):
+    with _IvPrecision(precision_bits(bits)) as iv:
         return _from_iv(+iv.pi)
 
 
 def e_interval(bits: int | None = None) -> Interval:
-    with _IvPrecision(precision_bits(bits)):
+    with _IvPrecision(precision_bits(bits)) as iv:
         return _from_iv(+iv.e)
 
 
 def exp_interval(x: Interval, bits: int | None = None) -> Interval:
-    with _IvPrecision(precision_bits(bits)):
-        return _from_iv(iv.exp(_to_iv(x)))
+    with _IvPrecision(precision_bits(bits)) as iv:
+        return _from_iv(iv.exp(_to_iv(x, iv)))
 
 
 def log_interval(x: Interval, bits: int | None = None) -> Interval:
     if x.lo <= 0:
         raise ValueError("log needs a strictly positive interval")
-    with _IvPrecision(precision_bits(bits)):
-        return _from_iv(iv.log(_to_iv(x)))
+    with _IvPrecision(precision_bits(bits)) as iv:
+        return _from_iv(iv.log(_to_iv(x, iv)))
 
 
 def acosh_interval(x: Interval, bits: int | None = None) -> Interval:

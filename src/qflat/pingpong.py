@@ -215,8 +215,9 @@ def _mat_pow(A, k):
     while k:
         if k & 1:
             out = mat_mul(out, base)
-        base = mat_mul(base, base)
         k >>= 1
+        if k:
+            base = mat_mul(base, base)
     return out
 
 

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -382,3 +386,91 @@ def test_fuzzed_calls_exit_cleanly(fuzz_form, call):
         assert err.getvalue().count("\n") == 1
     elif "--json" in argv:
         assert (code == 1) == (json.loads(out.getvalue()).get("pass") is False)
+
+
+# ---------------------------------------------------------------------------
+# imports: a qf process loads only the modules its subcommand runs
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+# runs main(argv) in a fresh interpreter (argv null: import only) and
+# prints its exit code and the qflat and mpmath modules it loaded
+_PROBE = """
+import contextlib, io, json, sys
+import qflat.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = qflat.cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "mpmath" or m.startswith("qflat."))]))
+"""
+
+NOT_ENUMERATION = {"qflat.lattice", "qflat.localform", "qflat.intervals",
+                   "qflat.hyperbolic", "qflat.massledger", "qflat.pingpong",
+                   "mpmath"}
+
+
+def _loaded(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, modules = json.loads(run.stdout)
+    assert code in (None, 0), (argv, code)
+    return set(modules)
+
+
+def _fill(options, forms):
+    return [opt.format(demos=DEMOS, forms=forms) for opt in options]
+
+
+@pytest.mark.parametrize("argv", [None, ["--help"]])
+def test_import_and_help_load_only_the_parser(argv):
+    assert _loaded(argv) == {"qflat.cli", "qflat.gram", "qflat.exact"}
+
+
+@pytest.mark.parametrize("name, options", [
+    ("enumerate", ["--form", "{demos}/e8.qf", "--norm", "2", "--count"]),
+    ("autord", ["--form", "{forms[d45]}"]),
+])
+def test_enumeration_commands_load_no_other_layer(forms, name, options):
+    loaded = _loaded([name, *_fill(options, forms)])
+    assert "qflat.enumeration" in loaded
+    assert not loaded & NOT_ENUMERATION
+
+
+@pytest.mark.parametrize("name, options", [
+    ("factors", ["--form", "{forms[d45]}"]),
+    ("dual", ["--form", "{forms[d45]}"]),
+    ("saturate", ["--form", "{forms[odd3]}"]),
+    ("density", ["--form", "{forms[d45]}", "--p", "3", "--m", "5"]),
+    ("jordan", ["--form", "{forms[d45]}", "--p", "3"]),
+    ("split2", ["--form", "{forms[h]}"]),
+    ("reflect", ["--form", "{forms[u22]}", "--root", "0,0,1",
+                 "--vector", "1,2,3"]),
+    ("classify-root", ["--form", "{forms[u22]}", "--vector", "0,0,1"]),
+    ("complement", ["--form", "{forms[u22]}", "--vector", "0,0,1"]),
+    ("meet", ["--form", "{forms[u22]}", "--q", "{forms[h]}",
+              "--t", "{forms[t2]}", "--vector", "1,1,0"]),
+    ("prop41", []),
+    ("pingpong", ["--g1", "{demos}/g1.json", "--g2", "{demos}/g2.json"]),
+])
+def test_exact_commands_do_not_load_mpmath(forms, name, options):
+    assert "mpmath" not in _loaded([name, *_fill(options, forms)])
+
+
+@pytest.mark.parametrize("name, options", [
+    ("infdensity", ["--n", "4", "--disc", "1", "--m", "8"]),
+    ("mass-check", ["--form", "{demos}/e8.qf", "--m", "2", "--primes", "50",
+                    "--order", "696729600"]),
+    ("ledger41", []),
+])
+def test_transcendental_commands_load_mpmath(forms, name, options):
+    assert "mpmath" in _loaded([name, *_fill(options, forms)])

@@ -13,8 +13,8 @@ from qflat.hyperbolic import (cartan_involution, hyperbolic_distance,
                               reflection_matrix, sheet_point)
 from qflat.intervals import Interval, acosh_interval
 from qflat.pingpong import (AxisRays, NotHyperbolic, QuadraticNumber,
-                            _cross, _fixed_point_arcs, _in_arc, _mobius_of,
-                            SchottkyCertificate, SearchExhausted,
+                            _cross, _fixed_point_arcs, _in_arc, _mat_pow,
+                            _mobius_of, SchottkyCertificate, SearchExhausted,
                             SharedEndpoint, UnsupportedBoundary,
                             binary_disc_form, free_words_audit,
                             schottky_certify, symmetric_square,
@@ -82,6 +82,15 @@ class TestSymmetricSquare:
         assert f.value((1, 2, 1)) == 0
         assert f.value((4, -4, 1)) == 0
         assert f.value((0, 1, 0)) == 1
+
+
+@pytest.mark.parametrize("A", [symmetric_square(((5, 2), (2, 1))),
+                               ((3, -4), (2, 7))])
+def test_mat_pow_is_the_repeated_product(A):
+    want = identity(len(A))
+    for k in range(41):
+        assert _mat_pow(A, k) == want
+        want = mat_mul(want, A)
 
 
 class TestTranslationLength:
