@@ -105,7 +105,7 @@ def _cmd_density(args):
         raise ValueError(f"--m must be a positive integer, got {args.m}")
     d = local_density(_form(args.form), args.p, args.m, k_max=args.kmax)
     return ({"p": args.p, "m": args.m, "value": str(d.value),
-             "stabilized_at_k": d.k if d.stabilized else None,
+             "stabilized_at_k": d.k,
              "method": d.method}, [str(d.value)])
 
 
@@ -293,8 +293,9 @@ COMMANDS = [
      "exact p-adic representation density of a form",
      [FORM, _opt("--p", "prime", required=True, type=int),
       _opt("--m", "represented value", required=True, type=int),
-      _opt("--kmax", "stabilization depth cap (default 6)", type=int,
-           default=6)]),
+      _opt("--kmax", "cap on the level the density is evaluated at, "
+           "v_p(m)+1 (v_2(m)+3 at p = 2); above it, exit 2 (default: no cap)",
+           type=int)]),
     ("infdensity", _cmd_infdensity,
      "certified interval for the archimedean density",
      [_opt("--n", "dimension", required=True, type=int),

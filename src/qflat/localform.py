@@ -1,10 +1,12 @@
 """Local densities of quadratic forms and p-adic block decompositions.
 
-The p-density of a form f at an integer m is the stable value of
+The p-density of a form f at an integer m != 0 is the value of
 
     #{x in (Z/p^k)^n : f(x) = m mod p^k} / p^(k(n-1))
 
-as k grows.  This module computes it exactly (`local_density`), together
+at any level k >= k0, where k0 = v_p(m) + 1 at odd p and v_2(m) + 3 at
+p = 2; the value is constant from k0 on (see `local_density`).  This
+module computes it exactly (`local_density`), together
 with the archimedean density (`infinity_density`), the sphere-volume
 constants (`omega_interval`), interval zeta values (`zeta_interval`), and
 the structure results used to organize p-adic computations:
@@ -21,8 +23,10 @@ quantities are certified `Interval`s.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, combinations, groupby, product
 from math import factorial
 from operator import itemgetter
@@ -61,9 +65,8 @@ DEFAULT_BUDGET = 2_000_000
 class DensityValue:
     """Result of a local density computation.
 
-    `value` is exact; `stabilized` records whether two consecutive levels
-    agreed before `k` (the last level evaluated); `history` keeps the
-    per-level densities for reporting.
+    `value` is exact: the normalized count at level `k`, the k0 from which
+    the count is proven constant, so `stabilized` is always True.
     """
 
     value: Fraction
@@ -72,7 +75,6 @@ class DensityValue:
     stabilized: bool
     k: int
     method: str
-    history: tuple = ()
 
 
 def _is_prime(p):
@@ -155,9 +157,9 @@ def _count_enumerate(gram, p, k, m, budget):
 #             with eta = chi((-1)^(nu/2) det)
 #   nu odd:   N1(m != 0) = p^(nu-1) + p^((nu-1)/2) chi((-1)^((nu-1)/2) det m)
 #             N1(0)      = p^(nu-1)
-# For p not dividing det, solutions with x != 0 mod p lift uniquely
-# (Hensel), and solutions with x = 0 mod p descend through f(px') = p^2
-# f(x'), giving an exact recursion for the count at every level k.
+# For p not dividing det, solutions with x != 0 mod p lift (Hensel), and
+# solutions with x = 0 mod p descend through f(px') = p^2 f(x'), giving an
+# exact recursion for the count at every level k (`_unit_count`).
 
 
 def _unit_count_mod1(nu, det_unit, p, m):
@@ -173,76 +175,29 @@ def _unit_count_mod1(nu, det_unit, p, m):
     return p ** (nu - 1) + s * p ** ((nu - 1) // 2)
 
 
-def _unit_count(nu, det_unit, p, k, m):
-    """#{x in (Z/p^k)^nu : g(x) = m} for g a unit form at odd p."""
+def _unit_count(level1, nu, p, k, m):
+    """#{x in (Z/p^k)^nu : g(x) = m} from level1(r) = #{x mod p : g(x) = r}.
+
+    g must have a gradient that is nonzero mod p at every x != 0 mod p: a
+    unit form at odd p, or at p = 2 a binary form with odd middle
+    coefficient.  Then each of those solutions mod p lifts to p^(nu-1)
+    solutions per level (Hensel), and the solutions x = px' are counted
+    through g(px') = p^2 g(x').
+    """
     if k == 0:
         return 1
     mm = m % (p ** k)
-    if mm % p != 0:
-        return _unit_count_mod1(nu, det_unit, p, mm) * p ** ((k - 1) * (nu - 1))
-    base = (_unit_count_mod1(nu, det_unit, p, 0) - 1) * p ** ((k - 1) * (nu - 1))
+    r = mm % p
+    base = (level1(r) - (r == 0)) * p ** ((k - 1) * (nu - 1))
     if k == 1:
-        return base + 1
-    if mm % (p * p) == 0:
-        return base + p ** nu * _unit_count(nu, det_unit, p, k - 2, mm // (p * p))
-    return base
+        return base + (r == 0)
+    if mm % (p * p):
+        return base
+    return base + p ** nu * _unit_count(level1, nu, p, k - 2, mm // p ** 2)
 
 
 # ---------------------------------------------------------------------------
-# backend: odd p dividing det -- Jordan blocks + convolution
-
-
-def _cyclic_convolution(vectors, mod):
-    """Count vector of a sum mod `mod` from the count vectors of its terms."""
-    total = [0] * mod
-    total[0] = 1
-    for vec in vectors:
-        new = [0] * mod
-        for a, ca in enumerate(total):
-            if ca:
-                for b, cb in enumerate(vec):
-                    if cb:
-                        new[(a + b) % mod] += ca * cb
-        total = new
-    return total
-
-
-def _count_jordan_convolution(blocks, p, k, m, budget):
-    """Count solutions mod p^k from a Jordan decomposition at odd p.
-
-    `blocks` is a list of (exponent, units) pairs; the form is the
-    orthogonal sum of p^e * <u_1, ..., u_r> over the blocks.  Counts per
-    block are produced by the unit-form recursion and combined with a
-    cyclic convolution over Z/p^k.
-    """
-    mod = p ** k
-    if mod * mod > budget:
-        raise BudgetExceeded(
-            f"convolution table of size {mod}^2 exceeds budget {budget}"
-        )
-    vectors = []
-    for exp, units in blocks:
-        nu = len(units)
-        det_unit = 1
-        for u in units:
-            det_unit = (det_unit * u) % p
-        scale = p ** exp
-        vec = [0] * mod
-        if exp >= k:
-            vec[0] = mod ** nu
-        else:
-            kk = k - exp
-            lift = p ** (exp * nu)
-            for r0 in range(p ** kk):
-                c = _unit_count(nu, det_unit, p, kk, r0)
-                if c:
-                    vec[(r0 * scale) % mod] = c * lift
-        vectors.append(vec)
-    return _cyclic_convolution(vectors, mod)[m % mod]
-
-
-# ---------------------------------------------------------------------------
-# the valuation sweep, and at p = 2 the convolution of its pieces
+# the valuation sweep, and the convolution of its pieces by classes
 
 
 def _frac_mod(q, p, mod):
@@ -331,97 +286,137 @@ def _valuation_sweep(gram, p):
         yield v, i, block, tuple(tuple(cols[q]) for q in pivot)
 
 
-def _piece_count_vector(piece, k):
-    """Count vector of a dimension <= 2 piece modulo 2^k."""
-    mod = 2 ** k
-    vec = [0] * mod
-    if len(piece) == 1:
-        d = _frac_mod(piece[0][0], 2, mod)
-        for x in range(mod):
-            vec[(d * x * x) % mod] += 1
-    else:
-        a, b, c = (_frac_mod(x, 2, mod)
-                   for x in (piece[0][0], piece[0][1], piece[1][1]))
-        for x in range(mod):
-            ax2 = a * x * x
-            bx2 = 2 * b * x
-            for y in range(mod):
-                vec[(ax2 + bx2 * y + c * y * y) % mod] += 1
-    return vec
+def _square_class(r, p, k):
+    """The orbit of r mod p^k under multiplication by unit squares: v_p(r)
+    and the class of r/p^v, its quadratic character at odd p and at p = 2
+    its residue mod min(8, 2^(k-v))."""
+    if r == 0:
+        return (k,)
+    v = _vp(r, p)
+    u = r // p ** v
+    return v, (u % min(8, 2 ** (k - v)) if p == 2 else _legendre(u, p))
 
 
-def _count_two_adic(pieces, p, k, m, budget):
-    mod = 2 ** k
-    if mod * mod * (len(pieces) + 1) > budget:
-        raise BudgetExceeded(
-            f"2-adic convolution at level {k} exceeds budget {budget}"
-        )
-    vectors = (_piece_count_vector(piece, k) for piece in pieces)
-    return _cyclic_convolution(vectors, mod)[m % mod]
+def _piece_counts(block, p, k, reps):
+    """Solution counts mod p^k of one sweep piece at each residue in reps.
+
+    A 1x1 piece d x^2 is counted over x mod p^k.  A 2x2 piece (p = 2) is
+    2^e Q with Q = a x^2 + b xy + c y^2 and b odd, and counts through
+    `_unit_count`: Q's level-1 counts of 0 and 1 are (3, 1) when Q is
+    isotropic mod 2 (a or c even) and (1, 3) when it is not.
+    """
+    mod = p ** k
+    if len(block) == 1:
+        d = _frac_mod(block[0][0], p, mod)
+        hits = Counter(d * x * x % mod for x in range(mod))
+        return [hits[r] for r in reps]
+    (a, b), (_, c) = block
+    e = _vp(b.numerator, 2) + 1
+    level1 = ((3, 1) if (a * c / 4 ** e).numerator % 2 == 0 else (1, 3))
+    e = min(e, k)  # 2^e Q vanishes mod 2^k once e >= k
+    return [0 if r % 2 ** e else
+            4 ** e * _unit_count(level1.__getitem__, 2, 2, k - e, r >> e)
+            for r in reps]
+
+
+def _count_by_classes(blocks, p, k, m, budget):
+    """#{x : f(x) = m mod p^k} for f the orthogonal sum of sweep `blocks`.
+
+    Multiplying x by a unit c multiplies f(x) by c^2, so the count vector
+    of every piece, and every convolution of them, is constant on each
+    class of `_square_class`, of which there are at most 4k.  So a count
+    vector is kept as one value per class, and each convolution is
+    evaluated at one representative r per class: a sum over the class
+    pairs (class of s, class of r - s), s mod p^k, with multiplicities.
+    """
+    mod = p ** k
+    if mod * (4 * k + len(blocks)) > budget:
+        raise BudgetExceeded(f"counting by classes mod {p}^{k} exceeds "
+                             f"budget {budget}")
+    index = {}
+    cls = [index.setdefault(_square_class(r, p, k), len(index))
+           for r in range(mod)]
+    reps = [cls.index(c) for c in range(len(index))]
+    pairs = [Counter(zip(cls, cls[r::-1] + cls[:r:-1])) for r in reps]
+
+    def convolve(pair, f, g):
+        return sum(n * f[a] * g[b] for (a, b), n in pair.items())
+
+    total, *pieces = [_piece_counts(block, p, k, reps) for block in blocks]
+    for piece in pieces[:-1]:
+        total = [convolve(pair, total, piece) for pair in pairs]
+    c = cls[m % mod]  # the last convolution is needed at m's class only
+    return convolve(pairs[c], total, pieces[-1]) if pieces else total[c]
 
 
 # ---------------------------------------------------------------------------
 # the density driver
 
 
-def local_density(G, p, m, *, k_max=6, method="auto", budget=DEFAULT_BUDGET):
-    """Exact p-density of G at m.
+def _level_density(G, p, m, k, method, budget):
+    """(normalized count of G at m mod p^k, method tag)."""
+    n, det = G.n, G.determinant
+    if method == "count":
+        count = _count_enumerate(G.matrix, p, k, m, budget)
+    elif method != "auto":
+        raise ValueError(f"unknown method {method!r}")
+    elif p % 2 and det % p:
+        method = "unit-formula"
+        level1 = partial(_unit_count_mod1, n, det % p, p)
+        count = _unit_count(level1, n, p, k, m)
+    else:
+        method = "jordan-blocks" if p % 2 else "two-adic-pieces"
+        blocks = [step[2] for step in _valuation_sweep(G.matrix, p)]
+        count = _count_by_classes(blocks, p, k, m, budget)
+    return Fraction(count, p ** (k * (n - 1))), method
 
-    Evaluates the normalized count at successive levels k until two
-    consecutive values agree; if that does not happen by `k_max` the last
-    value is returned flagged `stabilized=False`.
 
-    `method="count"` forces definitional enumeration (budget permitting).
-    `method="auto"` picks an exact structural counter: closed-form unit
-    counts at odd p, Jordan-block convolution at odd p dividing det, and
-    dimension <= 2 piece convolution at p = 2.  All counters compute the
-    same integer counts, so the two methods cross-validate.
+def local_density(G, p, m, *, k_max=None, method="auto",
+                  budget=DEFAULT_BUDGET):
+    """Exact p-density of G at m != 0, evaluated at the one level k0.
+
+    k0 = v_p(m) + 1 at odd p and v_2(m) + 3 at p = 2.  Theorem (Siegel,
+    Ann. of Math. 36 (1935); T. Yang, J. Number Theory 72 (1998)): the
+    normalized count N(p^k)/p^(k(n-1)) is the same at every k >= k0.
+
+    Proof.  By orthogonality of additive characters, grouping t mod p^k
+    by gcd(t, p^k) = p^(k-j),
+
+        N(p^k)/p^(k(n-1)) = sum_{j=0..k} A_j,
+        A_j = p^(-jn) sum_{t in (Z/p^j)^*} e(-tm/p^j) S_j(t),
+
+    with S_j(t) = sum_{x mod p^j} e(t f(x)/p^j), so A_j does not depend on
+    k.  Over Z_p, f is an orthogonal sum of pieces u p^e x^2 and, at
+    p = 2, 2^e xy and 2^e (x^2 + xy + y^2), and S_j(t) is the product of
+    their Gauss sums.  For t a unit, a 1x1 piece's sum depends on t only
+    through the Legendre symbol (t/p) at odd p and through t mod 8 at
+    p = 2, and a 2x2 piece's sum not at all.  So S_j(t) depends only on
+    t mod p^d, with d = 1 at odd p and d = 3 at p = 2.  For j > d write
+    t = t0 + p^d t1; the sum over t1 mod p^(j-d) of e(-t1 m/p^(j-d))
+    vanishes unless p^(j-d) divides m.  Hence A_j = 0 for
+    j > v_p(m) + d, and the normalized count is constant from
+    k0 = v_p(m) + d on.  The Jordan exponents play no part.
+
+    `method="auto"` counts level k0 exactly: by the Hensel recursion of
+    `_unit_count` at odd p not dividing det ("unit-formula"), and
+    otherwise by convolving the valuation sweep's pieces class by class
+    (`_count_by_classes`; "jordan-blocks" at odd p, "two-adic-pieces" at
+    p = 2).  `method="count"` enumerates (Z/p^k0)^n within `budget`, so
+    the two cross-validate.  `k_max` caps k0: BudgetExceeded when
+    k0 > k_max, as when the work exceeds `budget`.
     """
     if not isinstance(G, GramForm):
         G = GramForm(G)
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    n = G.n
-    det = G.determinant  # raises on singular input
-
-    tag = method
-    if method == "count":
-        def counter(k):
-            return _count_enumerate(G.matrix, p, k, m, budget)
-    elif method == "auto":
-        if p % 2 == 1 and det % p != 0:
-            tag = "unit-formula"
-
-            def counter(k):
-                return _unit_count(n, det % p, p, k, m)
-        elif p % 2 == 1:
-            tag = "jordan-blocks"
-            dec = jordan_decompose_odd(G, p, 2 * _vp(det, p) + 2)
-            blocks = [(b.exponent, b.units) for b in dec.blocks]
-
-            def counter(k):
-                return _count_jordan_convolution(blocks, p, k, m, budget)
-        else:
-            tag = "two-adic-pieces"
-            pieces = [step[2] for step in _valuation_sweep(G.matrix, 2)]
-
-            def counter(k):
-                return _count_two_adic(pieces, p, k, m, budget)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    history = []
-    prev = None
-    for k in range(1, k_max + 1):
-        cnt = counter(k)
-        dk = Fraction(cnt, p ** (k * (n - 1)))
-        history.append((k, dk))
-        if prev is not None and dk == prev:
-            return DensityValue(dk, p, m, True, k, tag, tuple(history))
-        prev = dk
-    return DensityValue(prev, p, m, False, k_max, tag, tuple(history))
+    if m == 0:
+        raise ValueError("the density at m = 0 is not defined by one level")
+    k = _vp(m, p) + (3 if p == 2 else 1)
+    if k_max is not None and k > k_max:
+        raise BudgetExceeded(
+            f"the density at p = {p}, m = {m} needs level {k} > k_max {k_max}")
+    value, tag = _level_density(G, p, m, k, method, budget)
+    return DensityValue(value, p, m, True, k, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Run with ``pytest -v``: each test below prints exactly one PASSED/FAILED
 line, and every stated tolerance and runtime budget is asserted inside
-the test itself.  The one deliberately failing claim (the even-m
-two-adic constant) is pinned as a strict xfail next to the computation
-that refutes it.
+the test itself.  The two deliberately failing claims (the even-m
+two-adic constant, and the bound 2 on the 41-variable two-adic factor)
+are pinned as strict xfails next to the computation that refutes them.
 """
 
 import random
@@ -58,7 +58,7 @@ def test_a03_bounds_ledger():
 
     # the two-adic density of 2*x1*x2 is the 2-adic valuation of m, not
     # a constant; the constant-2 claim is pinned as xfail below, and the
-    # value the chain actually needs is certified here
+    # value the chain actually needs is computed here
     claim = report.item("two-adic-claim")
     assert not claim.passed
     for m in range(1, 11):
@@ -68,9 +68,12 @@ def test_a03_bounds_ledger():
             expect, mm = expect + 1, mm // 2
         assert Fraction(claim.detail["computed"][str(m)]) == expect
 
+    # that value exceeds the received bound 2 (pinned as xfail below), so
+    # the item and the ledger fail, while the combined bound still holds
     factor = report.item("two-adic-factor")
-    assert factor.passed
-    assert Fraction(factor.detail["value"]) <= 2
+    assert not factor.passed
+    assert Fraction(factor.detail["value"]) == \
+        2 + Fraction(2 ** 19 + 1, 2 ** 58)
 
     arch = report.item("archimedean")
     assert arch.passed
@@ -82,7 +85,7 @@ def test_a03_bounds_ledger():
     for key in ("with_claimed_two_adic", "with_computed_two_adic"):
         assert Fraction(combined.detail[key]) <= Fraction(1, 20)
 
-    assert report.bounds_passed
+    assert not report.bounds_passed
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -94,6 +97,16 @@ def test_a03_bounds_ledger():
 def test_a03b_two_adic_even_density_as_claimed():
     for m in (2, 4, 6, 8):
         assert local_density(H, 2, m).value == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="refuted: the density at p=2, m=2 of twenty hyperbolic planes "
+    "plus <2> is 2 + (2^19+1)/2^58, above the received bound 2",
+)
+def test_a03c_two_adic_factor_at_most_two_as_claimed():
+    local41 = orthogonal_sum(*([H] * 20 + [GramForm(((2,),))]))
+    assert local_density(local41, 2, 2).value <= 2
 
 
 def test_a04_mass_chain_exact():

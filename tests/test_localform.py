@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,9 @@ from qflat.gram import (
 )
 from qflat.intervals import Interval, pi_interval
 from qflat.localform import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
+    _level_density,
     NoIsotropicVector,
     PrecisionTooLow,
     infinity_density,
@@ -85,8 +88,8 @@ def test_auto_matches_count_on_grid():
     for G in forms:
         for p in (2, 3, 5):
             for m in (1, 2, 3, 4, 6):
-                a = local_density(G, p, m, k_max=4)
-                c = local_density(G, p, m, k_max=4, method="count",
+                a = local_density(G, p, m)
+                c = local_density(G, p, m, method="count",
                                   budget=20_000_000)
                 assert a.value == c.value, (G.matrix, p, m)
                 assert a.value >= 0
@@ -126,8 +129,9 @@ def test_good_odd_prime_stabilizes_immediately():
                 if (2 * m * G.determinant) % p == 0:
                     continue
                 d = local_density(G, p, m)
-                assert d.stabilized and d.k == 2
-                assert d.history[0][1] == d.value
+                assert d.stabilized and d.k == 1
+                assert d.value == _level_density(G, p, m, 2, "auto",
+                                                 DEFAULT_BUDGET)[0]
 
 
 def test_sampled_submultiplicativity():
@@ -153,6 +157,90 @@ def test_budget_guard():
 def test_rejects_composite_p():
     with pytest.raises(ValueError):
         local_density(identity_form(2), 6, 1)
+
+
+def test_rejects_m_zero():
+    with pytest.raises(ValueError):
+        local_density(identity_form(3), 2, 0)
+
+
+# H + <1> + ((3, 1), (1, 2)): levels 1-3 give 1, 5/4, 5/4, then 39/32
+SPLIT5 = GramForm(((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 1, 0, 0),
+                   (0, 0, 0, 3, 1), (0, 0, 0, 1, 2)))
+
+
+@pytest.mark.parametrize("G, m, k0, want", [
+    (identity_form(2), 2, 4, 2),
+    (identity_form(3), 4, 5, Fraction(3, 4)),
+    (identity_form(5), 4, 5, Fraction(45, 64)),
+    (identity_form(5), 16, 7, Fraction(365, 512)),
+    (SPLIT5, 4, 5, Fraction(39, 32)),
+], ids=["Z2-m2", "Z3-m4", "Z5-m4", "Z5-m16", "split5-m4"])
+def test_density_at_two_past_agreeing_levels(G, m, k0, want):
+    # each value holds at every level from k0 = v_2(m) + 3 on, while two
+    # consecutive levels below k0 can agree on a different value
+    d = local_density(G, 2, m)
+    assert (d.k, d.value) == (k0, want)
+
+
+@st.composite
+def sweep_like_forms(draw):
+    """(form, p, m): an orthogonal sum of up to 3 pieces u p^e, 2^e H and
+    2^e ((2, 1), (1, 2)) with e <= 3, and m = w p^j."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    units = [u for u in range(1, 8) if u % p]
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(("unit", "H", "A2")))
+        if kind == "unit":
+            rows = ((draw(st.sampled_from(units)) * p ** e,),)
+        else:
+            rows = tuple(tuple(2 ** e * x for x in row) for row in
+                         (((0, 1), (1, 0)) if kind == "H"
+                          else ((2, 1), (1, 2))))
+        pieces.append(GramForm(rows))
+    j = draw(st.integers(0, 2 if p < 5 else 1))
+    return orthogonal_sum(*pieces), p, draw(st.sampled_from(units)) * p ** j
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(sweep_like_forms())
+def test_level_k0_is_the_stable_value(case):
+    G, p, m = case
+    d = local_density(G, p, m)
+    for k in (d.k + 1, d.k + 2):
+        assert _level_density(G, p, m, k, "auto", DEFAULT_BUDGET)[0] == \
+            d.value, k
+    if G.n <= 3:
+        assert local_density(G, p, m, method="count").value == d.value
+
+
+def test_e8_at_two_high_valuation_within_default_budget():
+    # E8 is four hyperbolic planes over Z_2: 2 (1 - 2^-4) sum_{j<=9} 8^-j
+    d = local_density(e8_form(), 2, 2 ** 10)
+    assert d.k == 13
+    assert d.value == 2 * (1 - Fraction(1, 16)) * sum(
+        Fraction(1, 8 ** j) for j in range(10))
+    assert local_density(hyperbolic_plane(), 2, 2 ** 10).value == 10
+
+
+def test_k_max_caps_the_level():
+    U = hyperbolic_plane()
+    assert local_density(U, 2, 8, k_max=6).k == 6
+    with pytest.raises(BudgetExceeded):
+        local_density(U, 2, 8, k_max=5)
+
+
+def test_over_budget_level_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            local_density(hyperbolic_plane(), 2, 2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The README's command block, run verbatim.
 
 Every `qf` line of the README's command block runs through
-`qflat.cli.main` from the repository root and must exit 0.  A comment
-that states a value is checked against stdout: a bare value is the whole
-output, `ends "X"` is the last line, and `lhs N` is the exact average
-count that `mass-check` prints first.
+`qflat.cli.main` from the repository root and must exit 0, or the code N
+that a comment starting `exits N:` states.  A comment that states a
+value is checked against stdout: a bare value is the whole output,
+`ends "X"` is the last line, and `lhs N` is the exact average count that
+`mass-check` prints first.
 """
 
 import contextlib
@@ -42,12 +43,14 @@ def test_readme_commands_run_verbatim(monkeypatch):
     monkeypatch.chdir(ROOT)
     commands = readme_commands()
     assert len(commands) == 7
-    checked = []
+    checked, codes = [], []
     for argv, comment in commands:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
-        assert code == 0, argv
+        stated = re.match(r"exits (\d+):", comment)
+        assert code == (int(stated.group(1)) if stated else 0), argv
+        codes.append(code)
         want = expected(comment)
         if want is None:
             continue
@@ -59,3 +62,4 @@ def test_readme_commands_run_verbatim(monkeypatch):
         checked.append(value)
     assert checked == ["240", "696729600", "0", "s >= 28",
                        "average representation count: 240"]
+    assert codes == [0, 0, 0, 0, 1, 0, 0]
