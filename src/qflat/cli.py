@@ -230,8 +230,10 @@ def _cmd_ledger41(args):
     from .massledger import bounds_ledger_41
     report = bounds_ledger_41(bits=args.precision)
     lines = [f"{item.name}: {_verdict(item.passed)}" for item in report.items]
+    failed = "".join(f"{i.name} failed; " for i in report.items
+                     if not i.passed and i.name != "two-adic-claim")
     lines.append(f"bounds: {_verdict(report.bounds_passed)}"
-                 " (the two-adic claim is reported as computed)")
+                 f" ({failed}two-adic-claim is reported, not judged)")
     return ({"check": "ledger41",
              "items": [i.to_json_dict() for i in report.items],
              "pass": report.bounds_passed}, lines)

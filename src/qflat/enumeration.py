@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 from .errors import BudgetExceeded
 from .exact import (
@@ -185,16 +186,19 @@ def automorphism_order(G, *, dim_limit=8):
     gram = G.matrix
     bound = max(gram[i][i] for i in range(n))
     diag_norms = {gram[t][t] for t in range(n)}
-    pool = []
+    half = [pair for pair in _canonical(_vectors_up_to(gram, bound))
+            if pair[1] in diag_norms]
+    # the negatives follow the +-half: pool[a + len(half)] = -pool[a]
+    pool = [v for v, _ in half] + [tuple(-x for x in v) for v, _ in half]
     by_norm = {}
-    for v, norm in _vectors_up_to(gram, bound):
-        if norm in diag_norms:
-            by_norm.setdefault(norm, []).append(len(pool))
-            pool.append(v)
+    for a, (_, norm) in enumerate(half * 2):
+        by_norm.setdefault(norm, []).append(a)
     gv = [mat_vec(gram, v) for v in pool]
-    # pairwise inner products; constraints inside the search become O(1)
-    table = [[dot(gv[a], pool[b]) for b in range(len(pool))]
-             for a in range(len(pool))]
+    # pairwise inner products, so constraints inside the search are O(1);
+    # (-v, w) = -(v, w) fills three quarters of the table from the first
+    table = [[sum(map(mul, g, v)) for v, _ in half] for g in gv[:len(half)]]
+    table = [row + [-x for x in row] for row in table]
+    table += [[-x for x in row] for row in table]
     buckets = {norm: tuple(ids) for norm, ids in by_norm.items()}
 
     def complete(prefix, fixed):

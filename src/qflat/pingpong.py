@@ -576,26 +576,30 @@ class SchottkyCertificate:
 def free_words_audit(a, b, max_len=6):
     """Exact check that all reduced words in two matrices avoid identity.
 
+    Each generator is held as M/d with M an integer matrix: a word is the
+    identity exactly when its Ms multiply to the product of its ds times I.
+
     Returns (words_checked, all_nontrivial, offending_word).
     """
     a, b = _matrix_of(a), _matrix_of(b)
-    n = len(a)
-    gens = [a, mat_inverse(a), b, mat_inverse(b)]
+    gens = []
+    for g in (a, mat_inverse(a), b, mat_inverse(b)):
+        d = common_denominator(x for row in g for x in row)
+        gens.append((tuple(tuple(int(x * d) for x in row) for row in g), d))
     names = ["a", "A", "b", "B"]
-    ident = tuple(tuple(Fraction(x) for x in row) for row in identity(n))
-    frac = [tuple(tuple(Fraction(x) for x in row) for row in g) for g in gens]
     checked = 0
-    stack = [(i, frac[i], names[i]) for i in range(4)]
+    stack = [(i, *gens[i], names[i]) for i in range(4)]
     while stack:
-        last, cur, word = stack.pop()
+        last, cur, d, word = stack.pop()
         checked += 1
-        if cur == ident:
+        if cur == identity(len(cur), d):
             return checked, False, word
         if len(word) < max_len:
             for nxt in range(4):
                 if nxt == last ^ 1:
                     continue
-                stack.append((nxt, mat_mul(cur, frac[nxt]), word + names[nxt]))
+                g, e = gens[nxt]
+                stack.append((nxt, mat_mul(cur, g), d * e, word + names[nxt]))
     return checked, True, None
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qflat.enumeration import (
     BudgetExceeded,
@@ -17,7 +19,7 @@ from qflat.enumeration import (
     represents,
     short_vectors,
 )
-from qflat.exact import mat_inverse
+from qflat.exact import determinant, mat_inverse
 from qflat.gram import GramForm, e8_form, hyperbolic_plane, identity_form, orthogonal_sum
 
 A2 = GramForm(((2, 1), (1, 2)))
@@ -201,6 +203,72 @@ def test_automorphism_isometry_invariant():
     rng = random.Random(3)
     H = transformed(A2, random_unimodular(2, rng))
     assert automorphism_order(H) == 12
+
+
+@st.composite
+def definite_forms(draw, n_max, diag_max, off_max):
+    """Positive definite Gram matrices with bounded entries."""
+    n = draw(st.integers(1, n_max))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(st.integers(1, diag_max))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-off_max, off_max))
+    assume(all(determinant([row[:k] for row in g[:k]]) > 0
+               for k in range(1, n + 1)))
+    return GramForm(tuple(map(tuple, g)))
+
+
+def brute_automorphism_count(G):
+    """#{integer T : T^t G T = G}, by columns: column i is a vector of
+    norm G_ii, found in the box that Cauchy-Schwarz allows, and its inner
+    products with the earlier columns are those of the basis."""
+    n, g = G.n, G.matrix
+    inv = mat_inverse(g)
+
+    def inner(u, v):
+        return sum(u[a] * g[a][b] * v[b] for a in range(n) for b in range(n))
+
+    box = [isqrt(int(max(g[i][i] for i in range(n)) * inv[j][j]))
+           for j in range(n)]
+    vecs = list(itertools.product(*(range(-b, b + 1) for b in box)))
+    columns = [[v for v in vecs if inner(v, v) == g[i][i]] for i in range(n)]
+
+    def count(cols):
+        i = len(cols)
+        if i == n:
+            return 1
+        return sum(count(cols + [v]) for v in columns[i]
+                   if all(inner(c, v) == g[j][i] for j, c in enumerate(cols)))
+
+    return count([])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(definite_forms(3, 4, 2))
+def test_automorphism_matches_brute_force(G):
+    assert automorphism_order(G) == brute_automorphism_count(G)
+
+
+@st.composite
+def basis_changes(draw):
+    """A definite form of dimension up to 6 and one to three shears
+    (column i gains c times column j) that keep its diagonal at most 4."""
+    G = draw(definite_forms(6, 3, 1))
+    assume(G.n > 1)
+    ij = st.permutations(range(G.n)).map(lambda p: p[:2])
+    shears = draw(st.lists(st.tuples(ij, st.sampled_from([-1, 1])),
+                           min_size=1, max_size=3))
+    H = _sheared(G, [(i, j, c) for (i, j), c in shears])
+    assume(max(H.matrix[i][i] for i in range(H.n)) <= 4)
+    return G, H
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(basis_changes())
+def test_automorphism_order_is_a_basis_invariant(pair):
+    G, H = pair
+    assert automorphism_order(H) == automorphism_order(G)
 
 
 def test_automorphism_dimension_limit():

@@ -381,6 +381,56 @@ class TestSchottky:
             schottky_certify(identity(4), identity(4))
 
 
+def reference_words_audit(a, b, max_len=6):
+    """The word audit on Fraction matrices, compared one word at a time
+    with the identity; the integer audit must agree on every output."""
+    a, b = freeze(a), freeze(b)
+    gens = [a, mat_inverse(a), b, mat_inverse(b)]
+    names = ["a", "A", "b", "B"]
+    ident = tuple(tuple(Fraction(x) for x in row) for row in identity(len(a)))
+    frac = [tuple(tuple(Fraction(x) for x in row) for row in g) for g in gens]
+    checked = 0
+    stack = [(i, frac[i], names[i]) for i in range(4)]
+    while stack:
+        last, cur, word = stack.pop()
+        checked += 1
+        if cur == ident:
+            return checked, False, word
+        if len(word) < max_len:
+            for nxt in range(4):
+                if nxt == last ^ 1:
+                    continue
+                stack.append((nxt, mat_mul(cur, frac[nxt]), word + names[nxt]))
+    return checked, True, None
+
+
+UNIMODULAR_4 = [((p, q), (r, s)) for p, q, r, s in product(range(-4, 5), repeat=4)
+                if p * s - q * r in (1, -1)]
+SQUASH = ((2, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2)))
+
+
+@st.composite
+def audit_pairs(draw):
+    """Symmetric squares at powers 1-3, some conjugated by diag(2, 1, 1/2)
+    to give rational entries, paired freely or with b = a, a^2 or a^-1."""
+    def generator():
+        g = _mat_pow(symmetric_square(draw(st.sampled_from(UNIMODULAR_4))),
+                     draw(st.integers(1, 3)))
+        if draw(st.booleans()):
+            g = mat_mul(mat_mul(SQUASH, g), mat_inverse(SQUASH))
+        return g
+    a = generator()
+    b = draw(st.sampled_from([generator, lambda: a, lambda: mat_mul(a, a),
+                              lambda: mat_inverse(a)]))()
+    return a, b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(audit_pairs())
+def test_words_audit_matches_the_fraction_reference(pair):
+    assert free_words_audit(*pair) == reference_words_audit(*pair)
+
+
 class TestWordsAudit:
     def test_free_pair_passes(self):
         a = symmetric_square(M1)
@@ -388,14 +438,20 @@ class TestWordsAudit:
         checked, clean, word = free_words_audit(a, b)
         assert (checked, clean, word) == (1456, True, None)
 
+    def test_rational_free_pair_passes(self):
+        a, b = (mat_mul(mat_mul(SQUASH, symmetric_square(M)), mat_inverse(SQUASH))
+                for M in (M1, M2))
+        assert free_words_audit(a, b) == (1456, True, None)
+
     def test_equal_generators_fail(self):
         a = symmetric_square(M1)
-        checked, clean, word = free_words_audit(a, a)
-        assert not clean
-        assert word is not None
+        assert free_words_audit(a, a) == (36, False, "BBBabb")
 
     def test_commuting_pair_fails(self):
         a = symmetric_square(M1)
         b = mat_mul(a, a)
-        checked, clean, word = free_words_audit(a, b)
-        assert not clean
+        assert free_words_audit(a, b) == (61, False, "BBAbba")
+
+    def test_inverse_pair_fails(self):
+        a = symmetric_square(M1)
+        assert free_words_audit(a, mat_inverse(a)) == (23, False, "BBBAbb")
