@@ -13,9 +13,9 @@ the structure results used to organize p-adic computations:
 `jordan_decompose_odd` for odd primes and `two_adic_split` at p = 2.
 All three p-adic results rest on one valuation sweep (`_valuation_sweep`),
 which splits a form over Z_p into pieces of rank <= 2 and their bases:
-densities convolve the pieces, the odd-p Jordan form sorts them, and the
-2-adic split recombines them into hyperbolic-type blocks and an
-anisotropic remainder.
+densities reduce over the pieces level by level, the odd-p Jordan form
+sorts them, and the 2-adic split recombines them into hyperbolic-type
+blocks and an anisotropic remainder.
 
 Everything arithmetic is exact: densities are `Fraction`s, archimedean
 quantities are certified `Interval`s.
@@ -26,9 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 from itertools import accumulate, combinations, groupby, product
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
 
 from .errors import BudgetExceeded
@@ -157,9 +157,6 @@ def _count_enumerate(gram, p, k, m, budget):
 #             with eta = chi((-1)^(nu/2) det)
 #   nu odd:   N1(m != 0) = p^(nu-1) + p^((nu-1)/2) chi((-1)^((nu-1)/2) det m)
 #             N1(0)      = p^(nu-1)
-# For p not dividing det, solutions with x != 0 mod p lift (Hensel), and
-# solutions with x = 0 mod p descend through f(px') = p^2 f(x'), giving an
-# exact recursion for the count at every level k (`_unit_count`).
 
 
 def _unit_count_mod1(nu, det_unit, p, m):
@@ -175,29 +172,8 @@ def _unit_count_mod1(nu, det_unit, p, m):
     return p ** (nu - 1) + s * p ** ((nu - 1) // 2)
 
 
-def _unit_count(level1, nu, p, k, m):
-    """#{x in (Z/p^k)^nu : g(x) = m} from level1(r) = #{x mod p : g(x) = r}.
-
-    g must have a gradient that is nonzero mod p at every x != 0 mod p: a
-    unit form at odd p, or at p = 2 a binary form with odd middle
-    coefficient.  Then each of those solutions mod p lifts to p^(nu-1)
-    solutions per level (Hensel), and the solutions x = px' are counted
-    through g(px') = p^2 g(x').
-    """
-    if k == 0:
-        return 1
-    mm = m % (p ** k)
-    r = mm % p
-    base = (level1(r) - (r == 0)) * p ** ((k - 1) * (nu - 1))
-    if k == 1:
-        return base + (r == 0)
-    if mm % (p * p):
-        return base
-    return base + p ** nu * _unit_count(level1, nu, p, k - 2, mm // p ** 2)
-
-
 # ---------------------------------------------------------------------------
-# the valuation sweep, and the convolution of its pieces by classes
+# the valuation sweep, and the reduction over its pieces
 
 
 def _frac_mod(q, p, mod):
@@ -286,67 +262,64 @@ def _valuation_sweep(gram, p):
         yield v, i, block, tuple(tuple(cols[q]) for q in pivot)
 
 
-def _square_class(r, p, k):
-    """The orbit of r mod p^k under multiplication by unit squares: v_p(r)
-    and the class of r/p^v, its quadratic character at odd p and at p = 2
-    its residue mod min(8, 2^(k-v))."""
-    if r == 0:
-        return (k,)
-    v = _vp(r, p)
-    u = r // p ** v
-    return v, (u % min(8, 2 ** (k - v)) if p == 2 else _legendre(u, p))
+def _sweep_pieces(gram, p):
+    """The sweep's pieces p^e U, U a unit Gram matrix, as a Counter of
+    (e, rank, unit): unit is det U mod p at odd p and U mod 8 at p = 2."""
+    q = 8 if p == 2 else p
+    pieces = Counter()
+    for v, _, block, _ in _valuation_sweep(gram, p):
+        unit = tuple(tuple(_frac_mod(x / p ** v, p, q) for x in row)
+                     for row in block)
+        pieces[v, len(block), unit if p == 2 else unit[0][0]] += 1
+    return pieces
 
 
-def _piece_counts(block, p, k, reps):
-    """Solution counts mod p^k of one sweep piece at each residue in reps.
-
-    A 1x1 piece d x^2 is counted over x mod p^k.  A 2x2 piece (p = 2) is
-    2^e Q with Q = a x^2 + b xy + c y^2 and b odd, and counts through
-    `_unit_count`: Q's level-1 counts of 0 and 1 are (3, 1) when Q is
-    isotropic mod 2 (a or c even) and (1, 3) when it is not.
-    """
-    mod = p ** k
-    if len(block) == 1:
-        d = _frac_mod(block[0][0], p, mod)
-        hits = Counter(d * x * x % mod for x in range(mod))
-        return [hits[r] for r in reps]
-    (a, b), (_, c) = block
-    e = _vp(b.numerator, 2) + 1
-    level1 = ((3, 1) if (a * c / 4 ** e).numerator % 2 == 0 else (1, 3))
-    e = min(e, k)  # 2^e Q vanishes mod 2^k once e >= k
-    return [0 if r % 2 ** e else
-            4 ** e * _unit_count(level1.__getitem__, 2, 2, k - e, r >> e)
-            for r in reps]
+@lru_cache(maxsize=1024)
+def _counts_mod8(pieces):
+    """#{x mod 8 : f(x) = r mod 8} for r = 0..7, f the sum of `pieces`,
+    sorted pairs ((e, U), copies) of the piece 2^e U."""
+    total = [1] + [0] * 7
+    for (e, unit), copies in pieces:
+        one = [0] * 8
+        for x in product(range(4), repeat=len(unit)):  # f mod 8 needs x mod 4
+            one[2 ** e * dot(x, mat_vec(unit, x)) % 8] += 2 ** len(unit)
+        for _ in range(copies):  # convolve mod 8: one[-j] is one[8 - j]
+            total = [sum(total[s] * one[r - s] for s in range(8))
+                     for r in range(8)]
+    return tuple(total)
 
 
-def _count_by_classes(blocks, p, k, m, budget):
-    """#{x : f(x) = m mod p^k} for f the orthogonal sum of sweep `blocks`.
+def _unit_part(pieces, p, m, n, r0):
+    """P_d(m): the x mod p^d with f(x) = m and x != 0 mod p on the scale-0
+    part, of rank r0 > 0, for f the sum of `pieces` in n variables."""
+    if p != 2:
+        det = prod(pow(u, c, p) for (e, _, u), c in pieces.items() if e == 0)
+        return (_unit_count_mod1(r0, det, p, m) - (m % p == 0)) * p ** (n - r0)
+    # even x0 = 2y: f = 4 f0(y) + f1 moves the scale-0 pieces to scale 2,
+    # and its count over y mod 8 counts each even x0 mod 8 2^r0 times, as
+    # 4 f0(y) mod 8 depends on y mod 2 only
+    full, even = (_counts_mod8(tuple(sorted(
+        ((min(e, 3) or e0, u), c) for (e, _, u), c in pieces.items())))
+        for e0 in (0, 2))
+    return full[m % 8] - (even[m % 8] >> r0)
 
-    Multiplying x by a unit c multiplies f(x) by c^2, so the count vector
-    of every piece, and every convolution of them, is constant on each
-    class of `_square_class`, of which there are at most 4k.  So a count
-    vector is kept as one value per class, and each convolution is
-    evaluated at one representative r per class: a sum over the class
-    pairs (class of s, class of r - s), s mod p^k, with multiplicities.
-    """
-    mod = p ** k
-    if mod * (4 * k + len(blocks)) > budget:
-        raise BudgetExceeded(f"counting by classes mod {p}^{k} exceeds "
-                             f"budget {budget}")
-    index = {}
-    cls = [index.setdefault(_square_class(r, p, k), len(index))
-           for r in range(mod)]
-    reps = [cls.index(c) for c in range(len(index))]
-    pairs = [Counter(zip(cls, cls[r::-1] + cls[:r:-1])) for r in reps]
 
-    def convolve(pair, f, g):
-        return sum(n * f[a] * g[b] for (a, b), n in pair.items())
-
-    total, *pieces = [_piece_counts(block, p, k, reps) for block in blocks]
-    for piece in pieces[:-1]:
-        total = [convolve(pair, total, piece) for pair in pairs]
-    c = cls[m % mod]  # the last convolution is needed at m's class only
-    return convolve(pairs[c], total, pieces[-1]) if pieces else total[c]
+def _reduction_count(pieces, p, k, m, n):
+    """#{x mod p^k : f(x) = m} for f the sum of `pieces`, k >= v_p(m) + d."""
+    d = 3 if p == 2 else 1
+    count, lift = 0, 1
+    while True:
+        r0 = sum(r * c for (e, r, _), c in pieces.items() if e == 0)
+        if r0:
+            count += (lift * _unit_part(pieces, p, m, n, r0)
+                      * p ** ((k - d) * (n - 1)))
+        if m % p:
+            return count
+        lift *= p ** (n - r0)
+        k, m, rotated = k - 1, m // p, Counter()
+        for (e, r, u), c in pieces.items():
+            rotated[e - 1 if e else 1, r, u] += c
+        pieces = rotated
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +327,7 @@ def _count_by_classes(blocks, p, k, m, budget):
 
 
 def _level_density(G, p, m, k, method, budget):
-    """(normalized count of G at m mod p^k, method tag)."""
+    """(normalized count of G at m mod p^k, method tag), for k >= k0."""
     n, det = G.n, G.determinant
     if method == "count":
         count = _count_enumerate(G.matrix, p, k, m, budget)
@@ -362,12 +335,10 @@ def _level_density(G, p, m, k, method, budget):
         raise ValueError(f"unknown method {method!r}")
     elif p % 2 and det % p:
         method = "unit-formula"
-        level1 = partial(_unit_count_mod1, n, det % p, p)
-        count = _unit_count(level1, n, p, k, m)
+        count = _reduction_count(Counter({(0, n, det % p): 1}), p, k, m, n)
     else:
         method = "jordan-blocks" if p % 2 else "two-adic-pieces"
-        blocks = [step[2] for step in _valuation_sweep(G.matrix, p)]
-        count = _count_by_classes(blocks, p, k, m, budget)
+        count = _reduction_count(_sweep_pieces(G.matrix, p), p, k, m, n)
     return Fraction(count, p ** (k * (n - 1))), method
 
 
@@ -397,13 +368,30 @@ def local_density(G, p, m, *, k_max=None, method="auto",
     j > v_p(m) + d, and the normalized count is constant from
     k0 = v_p(m) + d on.  The Jordan exponents play no part.
 
-    `method="auto"` counts level k0 exactly: by the Hensel recursion of
-    `_unit_count` at odd p not dividing det ("unit-formula"), and
-    otherwise by convolving the valuation sweep's pieces class by class
-    (`_count_by_classes`; "jordan-blocks" at odd p, "two-adic-pieces" at
-    p = 2).  `method="count"` enumerates (Z/p^k0)^n within `budget`, so
-    the two cross-validate.  `k_max` caps k0: BudgetExceeded when
-    k0 > k_max, as when the work exceeds `budget`.
+    `method="auto"` counts level k0 by one reduction over the sweep's
+    pieces p^e U ("jordan-blocks" at odd p, "two-adic-pieces" at p = 2),
+    or over the one piece (0, n, det mod p) at odd p not dividing det
+    ("unit-formula").  Write f = f0 + f1, f0 the scale-0 pieces in r0
+    variables x0, so that f1 = 0 mod p.  For k >= d,
+
+        N(k, m) = P_d(m) p^((k-d)(n-1)) + [p | m] p^(n-r0) N'(k-1, m/p),
+
+    with P_d(m) the solutions of f = m mod p^d with x0 != 0 mod p, and N'
+    the count of f' = p f0 + f1/p, whose pieces are rotated: e = 0 becomes
+    1 and every other e becomes e - 1.  Proof.  Let x0 != 0 mod p; the
+    unit Gram matrix of f0 makes some (G x)_i a unit.  At odd p, Hensel
+    lifts each solution mod p^j to p^(n-1) solutions mod p^(j+1).  At
+    p = 2, f mod 2^(j+1) depends on x mod 2^j only, and for j >= 3 adding
+    2^(j-1) e_i, for the first i with (G x)_i odd, moves f by 2^j mod
+    2^(j+1), so that half of the solutions mod 2^j hold mod 2^(j+1):
+    again 2^(n-1) per level.  The remaining x are x0 = p y0 with y0 mod
+    p^(k-1), and f = p^2 f0(y0) + f1(x1) = m needs p | m and then
+    f'(y0, x1) = m/p mod p^(k-1), which depends on x1 mod p^(k-1) only.
+    The level stays >= d, so k0 takes v_p(m) + 1 steps.
+
+    `method="count"` enumerates (Z/p^k0)^n within `budget`, which bounds
+    that method only, so the two cross-validate.  `k_max` caps k0:
+    BudgetExceeded when k0 > k_max.
     """
     if not isinstance(G, GramForm):
         G = GramForm(G)

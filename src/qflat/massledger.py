@@ -17,7 +17,6 @@ from .enumeration import representation_count
 from .gram import GramForm, hyperbolic_plane, orthogonal_sum
 from .intervals import Interval, pow_half_integer, precision_bits
 from .localform import (
-    DEFAULT_BUDGET,
     _unit_count_mod1,
     infinity_density,
     local_density,
@@ -86,7 +85,7 @@ def _product(xs):
     return xs[0] if xs else 1
 
 
-def siegel_rhs(G, m, prime_bound=10_000, *, bits=None, budget=None):
+def siegel_rhs(G, m, prime_bound=10_000, *, bits=None):
     """Certified interval for the truncated representation-density product.
 
     At p not dividing 2*m*det the density is the level-1 unit count over
@@ -106,14 +105,13 @@ def siegel_rhs(G, m, prime_bound=10_000, *, bits=None, budget=None):
         raise ValueError("prime_bound must be >= 2")
     n, det = G.n, G.determinant
     eps = Fraction(1, 2) if n == 2 else Fraction(1)
-    budget = DEFAULT_BUDGET if budget is None else budget
     nums, dens = [], []
     for p in _primes_up_to(prime_bound):
         if (2 * m * det) % p:
             nums.append(_unit_count_mod1(n, det, p, m) // p ** ((n - 1) // 2))
             dens.append(p ** (n // 2))
             continue
-        d = local_density(G, p, m, budget=budget)
+        d = local_density(G, p, m)
         nums.append(d.value.numerator)
         dens.append(d.value.denominator)
     prod = Fraction(_product(nums), _product(dens))
@@ -158,6 +156,8 @@ def siegel_check(genus, m, prime_bound=10_000, tol=Fraction(1, 50), *,
     if not isinstance(genus, GenusInput):
         raise TypeError("genus must be a GenusInput")
     tol = Fraction(tol)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     weights = genus.weights
     counts = tuple(representation_count(f, m) for f in genus.forms)
     lhs = sum(w * c for w, c in zip(weights, counts))

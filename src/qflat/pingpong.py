@@ -39,7 +39,7 @@ class SearchExhausted(Exception):
     """No certificate was found for any power up to the requested cap."""
 
 
-class UnsupportedBoundary(Exception):
+class UnsupportedBoundary(ValueError):
     """The boundary machinery runs on the binary-forms model only."""
 
 
@@ -185,28 +185,27 @@ def _matrix_of(g):
     return freeze(m)
 
 
-def translation_length(g, k=None, *, bits=None, k_max=256):
+def translation_length(g, k=256, *, bits=None):
     """Certified interval for the translation length log(dominant eigenvalue).
 
     Requires an isometry of a form with at most one negative eigenvalue,
     so the spectrum is {lam, 1/lam} plus unit-circle values; then the
-    exact trace of g^k pins e^(k*length) between integers.  The level is
-    k when given, else k_max; a higher level gives a narrower interval.
+    exact trace of g^k pins e^(k*length) between integers, and a higher
+    level k gives a narrower interval.
     Raises NotHyperbolic when the trace at that level stays in the
     unit-circle range.
     """
     A = _matrix_of(g)
     n = len(A)
-    level = k_max if k is None else k
-    if level < 1:
-        raise ValueError(f"level must be positive, got {level}")
-    t = abs(sum(row[i] for i, row in enumerate(_mat_pow(A, level))))
+    if k < 1:
+        raise ValueError(f"level must be positive, got {k}")
+    t = abs(sum(row[i] for i, row in enumerate(_mat_pow(A, k))))
     if t < n + 2:
         raise NotHyperbolic(
             "traces stay in the unit-circle range; no dominant eigenvalue")
     lo, hi = t - (n - 1), t + (n - 2)
     return log_interval(Interval(Fraction(lo), Fraction(hi)), bits) * \
-        Interval(Fraction(1, level))
+        Interval(Fraction(1, k))
 
 
 def _mat_pow(A, k):
@@ -360,7 +359,7 @@ class AxisRays:
     field_disc: int
 
 
-def translation_axis(g, form=None):
+def translation_axis(g):
     """Exact axis endpoints of a hyperbolic isometry of the binary model.
 
     The fixed points of the induced Moebius map are roots of an integer
@@ -370,10 +369,6 @@ def translation_axis(g, form=None):
     attracting ray's eigenvalue is certified to exceed 1 in absolute value.
     """
     A = _matrix_of(g)
-    if form is not None and freeze(getattr(form, "matrix", form)) \
-            != freeze(_DISC_GRAM):
-        raise UnsupportedBoundary(
-            "axis extraction runs on binary_disc_form() only")
     _require_disc_isometry(A)
     (rho, sigma, kappa), disc, e = _fixed_point_data(_mobius_of(A))
     one = QuadraticNumber.make(1)

@@ -37,7 +37,8 @@ def forms(tmp_path_factory):
         p = d / f"{name}.qf"
         p.write_text(form.text())
         paths[name] = str(p)
-    for name, mat in [("g1", [[2, 1], [1, 1]]), ("g2", [[1, 1], [1, 2]])]:
+    for name, mat in [("g1", [[2, 1], [1, 1]]), ("g2", [[1, 1], [1, 2]]),
+                      ("g3", [[1, 0, 0], [0, 2, 0], [0, 0, 1]])]:
         p = d / f"{name}.json"
         p.write_text(json.dumps({"matrix": mat}))
         paths[name] = str(p)
@@ -69,12 +70,13 @@ def test_density_odd_m_is_zero(forms, capsys):
 
 
 def test_density_at_a_high_two_power(forms, capsys):
-    # level k0 = v_2(1024) + 3 = 13 is within the default budget and --kmax
-    for cap in ([], ["--kmax", "30"]):
+    # the density of 2xy at 2^j is j; level k0 = j + 3 is within --kmax
+    for m, cap, want in ((1024, [], "10"), (1024, ["--kmax", "30"], "10"),
+                         (2 ** 40, [], "40")):
         code, out, _ = run(capsys, "density", "--form", forms["h"],
-                           "--p", "2", "--m", "1024", *cap)
+                           "--p", "2", "--m", str(m), *cap)
         assert code == 0
-        assert out.strip() == "10"
+        assert out.strip() == want
 
 
 def test_prop41_defaults(forms, capsys):
@@ -280,17 +282,18 @@ def test_indefinite_form_names_the_cause(forms, capsys):
     ["jordan", "--form", "{e8}", "--p", "3", "--k", "0"],
     ["classify-root", "--form", "{h}", "--vector", "0,0"],
     ["reflect", "--form", "{u22}", "--root", "0,0,0", "--vector", "1,2,3"],
-    ["density", "--form", "{h}", "--p", "2", "--m", str(2 ** 40)],
     ["density", "--form", "{h}", "--p", "2", "--m", "8", "--kmax", "5"],
     ["infdensity", "--n", "4", "--disc", "1", "--m", "8", "--precision", "0"],
     ["ledger41", "--precision", "-4"],
     ["pingpong", "--g1", "{g1}", "--g2", "{g2}", "--mmax", "0"],
+    ["pingpong", "--g1", "{g3}", "--g2", "{g2}"],
+    ["mass-check", "--form", "{e8}", "--m", "2", "--tol", "-1"],
 ], ids=["autord-z9", "reflect-not-a-root", "prop41-negative-king",
         "density-m0", "density-m-3", "split2-anisotropic-z4", "split2-k2",
         "jordan-k0", "classify-root-zero", "reflect-zero-root",
-        "density-over-budget", "density-above-kmax",
-        "infdensity-precision-0", "ledger41-precision-negative",
-        "pingpong-mmax0"])
+        "density-above-kmax", "infdensity-precision-0",
+        "ledger41-precision-negative", "pingpong-mmax0",
+        "pingpong-non-isometry", "mass-check-negative-tol"])
 def test_input_errors_exit_2_with_one_line(forms, capsys, argv):
     code, out, err = run(capsys, *(a.format(**forms) for a in argv))
     assert code == 2 and out == ""

@@ -1,9 +1,11 @@
 import random
+import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_enumeration import random_unimodular, transformed
 
@@ -19,7 +21,12 @@ from qflat.intervals import Interval, pi_interval
 from qflat.localform import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    _frac_mod,
+    _legendre,
     _level_density,
+    _unit_count_mod1,
+    _valuation_sweep,
+    _vp,
     NoIsotropicVector,
     PrecisionTooLow,
     infinity_density,
@@ -232,15 +239,154 @@ def test_k_max_caps_the_level():
         local_density(U, 2, 8, k_max=5)
 
 
-def test_over_budget_level_raises_before_allocating():
+def test_high_two_power_reduces_without_allocating():
+    # v_2(m) = 40 steps of the reduction, with no table over 2^43 residues
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceeded):
-            local_density(hyperbolic_plane(), 2, 2 ** 40)
+        assert local_density(hyperbolic_plane(), 2, 2 ** 40).value == 40
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_large_odd_prime_dividing_det_and_m():
+    # 1009 x^2 + y^2 = 1009 mod 1009^2: y = 1009 y' and x = +-1 mod 1009,
+    # so 2 * 1009 * 1009 solutions over 1009^2
+    d = local_density(GramForm(((1009, 0), (0, 1))), 1009, 1009)
+    assert (d.value, d.k, d.method) == (2, 2, "jordan-blocks")
+
+
+def test_e8_at_two_to_the_sixty():
+    start = time.perf_counter()
+    d = local_density(e8_form(), 2, 2 ** 60)
+    assert time.perf_counter() - start < 1
+    assert d.k == 63
+    assert d.value == 2 * (1 - Fraction(1, 16)) * sum(
+        Fraction(1, 8 ** j) for j in range(60))
+
+
+# ---------------------------------------------------------------------------
+# reference: level counts by class tables, the method before the reduction
+
+
+def _unit_count(level1, nu, p, k, m):
+    """#{x in (Z/p^k)^nu : g(x) = m} from level1(r) = #{x mod p : g(x) = r},
+    for g with a gradient nonzero mod p at every x != 0 mod p."""
+    if k == 0:
+        return 1
+    mm = m % (p ** k)
+    r = mm % p
+    base = (level1(r) - (r == 0)) * p ** ((k - 1) * (nu - 1))
+    if k == 1:
+        return base + (r == 0)
+    if mm % (p * p):
+        return base
+    return base + p ** nu * _unit_count(level1, nu, p, k - 2, mm // p ** 2)
+
+
+def _square_class(r, p, k):
+    """v_p(r) and the class of r/p^v under unit squares mod p^k."""
+    if r == 0:
+        return (k,)
+    v = _vp(r, p)
+    u = r // p ** v
+    return v, (u % min(8, 2 ** (k - v)) if p == 2 else _legendre(u, p))
+
+
+def _piece_counts(block, p, k, reps):
+    """Solution counts mod p^k of one sweep piece at each residue in reps."""
+    mod = p ** k
+    if len(block) == 1:
+        d = _frac_mod(block[0][0], p, mod)
+        hits = Counter(d * x * x % mod for x in range(mod))
+        return [hits[r] for r in reps]
+    (a, b), (_, c) = block
+    e = _vp(b.numerator, 2) + 1
+    level1 = ((3, 1) if (a * c / 4 ** e).numerator % 2 == 0 else (1, 3))
+    e = min(e, k)
+    return [0 if r % 2 ** e else
+            4 ** e * _unit_count(level1.__getitem__, 2, 2, k - e, r >> e)
+            for r in reps]
+
+
+def _count_by_classes(blocks, p, k, m):
+    """#{x : f(x) = m mod p^k} for f the orthogonal sum of sweep `blocks`,
+    convolving count vectors kept one value per `_square_class`."""
+    mod = p ** k
+    index = {}
+    cls = [index.setdefault(_square_class(r, p, k), len(index))
+           for r in range(mod)]
+    reps = [cls.index(c) for c in range(len(index))]
+    pairs = [Counter(zip(cls, cls[r::-1] + cls[:r:-1])) for r in reps]
+
+    def convolve(pair, f, g):
+        return sum(n * f[a] * g[b] for (a, b), n in pair.items())
+
+    total, *pieces = [_piece_counts(block, p, k, reps) for block in blocks]
+    for piece in pieces[:-1]:
+        total = [convolve(pair, total, piece) for pair in pairs]
+    c = cls[m % mod]
+    return convolve(pairs[c], total, pieces[-1]) if pieces else total[c]
+
+
+def reference_level_density(G, p, m, k):
+    """(normalized count at level k, method tag) by Hensel recursion at
+    good odd p and by class tables over the sweep's pieces otherwise."""
+    n, det = G.n, G.determinant
+    if p % 2 and det % p:
+        count = _unit_count(lambda r: _unit_count_mod1(n, det % p, p, r),
+                            n, p, k, m)
+        tag = "unit-formula"
+    else:
+        blocks = [step[2] for step in _valuation_sweep(G.matrix, p)]
+        count = _count_by_classes(blocks, p, k, m)
+        tag = "jordan-blocks" if p % 2 else "two-adic-pieces"
+    return Fraction(count, p ** (k * (n - 1))), tag
+
+
+@st.composite
+def reduction_cases(draw):
+    """(form, p, m): a sum of up to 5 pieces u p^e, 2^e H and
+    2^e ((2, 1), (1, 2)) with e <= 4, or a random form of rank <= 6, and
+    m = w p^j."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    units = [u for u in range(-9, 16) if u % p]
+    if draw(st.booleans()):
+        pieces = []
+        for _ in range(draw(st.integers(1, 5))):
+            e = draw(st.integers(0, 4))
+            kind = draw(st.sampled_from(("unit", "H", "A2")))
+            if kind == "unit":
+                rows = ((draw(st.sampled_from(units)) * p ** e,),)
+            else:
+                rows = tuple(tuple(2 ** e * x for x in row) for row in
+                             (((0, 1), (1, 0)) if kind == "H"
+                              else ((2, 1), (1, 2))))
+            pieces.append(GramForm(rows))
+        G = orthogonal_sum(*pieces)
+    else:
+        n = draw(st.integers(1, 6))
+        entries = iter(draw(st.lists(st.integers(-4, 4), min_size=n * n,
+                                     max_size=n * n)))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = next(entries)
+        assume(determinant(rows) != 0)
+        G = GramForm(tuple(map(tuple, rows)))
+    j = draw(st.integers(0, {2: 3, 3: 2, 5: 1, 7: 1}[p]))
+    return G, p, draw(st.sampled_from(units)) * p ** j
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(reduction_cases())
+def test_reduction_matches_class_tables(case):
+    G, p, m = case
+    k0 = local_density(G, p, m).k
+    for k in (k0, k0 + 1, k0 + 2):
+        assert _level_density(G, p, m, k, "auto", DEFAULT_BUDGET) == \
+            reference_level_density(G, p, m, k), k
 
 
 # ---------------------------------------------------------------------------

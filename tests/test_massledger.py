@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qflat.exact import determinant
 from qflat.gram import GramForm, e8_form, hyperbolic_plane, identity_form
 from qflat.intervals import Interval
-from qflat.localform import BudgetExceeded, infinity_density, local_density
+from qflat.localform import infinity_density, local_density
 from qflat.massledger import (
     EmptyGenus,
     _primes_up_to,
@@ -126,11 +126,6 @@ def test_siegel_rhs_interval_nesting():
     assert wide.local_product == tight.local_product
     assert wide.interval.lo <= tight.interval.lo
     assert tight.interval.hi <= wide.interval.hi
-
-
-def test_siegel_rhs_budget_propagates():
-    with pytest.raises(BudgetExceeded):
-        siegel_rhs(identity_form(4), 2, prime_bound=100, budget=1)
 
 
 A2 = GramForm(((2, 1), (1, 2)))
