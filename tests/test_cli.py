@@ -70,13 +70,20 @@ def test_density_odd_m_is_zero(forms, capsys):
 
 
 def test_density_at_a_high_two_power(forms, capsys):
-    # the density of 2xy at 2^j is j; level k0 = j + 3 is within --kmax
-    for m, cap, want in ((1024, [], "10"), (1024, ["--kmax", "30"], "10"),
-                         (2 ** 40, [], "40")):
+    # the density of 2xy at 2^j is j; level k0 = 13 is within --kmax
+    for cap in ([], ["--kmax", "30"]):
         code, out, _ = run(capsys, "density", "--form", forms["h"],
-                           "--p", "2", "--m", str(m), *cap)
+                           "--p", "2", "--m", "1024", *cap)
         assert code == 0
-        assert out.strip() == want
+        assert out.strip() == "10"
+
+
+def test_density_at_two_to_the_forty(forms, capsys):
+    # level k0 = 43 is reached by the reduction, with no residue table
+    code, out, err = run(capsys, "density", "--form", forms["h"],
+                         "--p", "2", "--m", str(2 ** 40))
+    assert code == 0 and err == ""
+    assert out.strip() == "40"
 
 
 def test_prop41_defaults(forms, capsys):
