@@ -46,10 +46,10 @@ def _isometry(text):
     rows = doc.get("matrix") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not rows:
         raise ValueError('expected an object with a "matrix" field')
-    try:
-        matrix = tuple(tuple(int(x) for x in row) for row in rows)
-    except (TypeError, ValueError) as err:
-        raise ValueError("matrix entries must be integers") from err
+    if not all(isinstance(r, list) and all(type(x) is int for x in r)
+               for r in rows):
+        raise ValueError("matrix entries must be integers")
+    matrix = tuple(map(tuple, rows))
     if len(matrix) == 2 and all(len(r) == 2 for r in matrix):
         return symmetric_square(matrix)
     if len(matrix) == 3 and all(len(r) == 3 for r in matrix):

@@ -5,9 +5,10 @@ Entries are Python ints or fractions.Fraction, so nothing here ever rounds.
 The module supplies the kernel every higher layer leans on: one forward
 Gaussian elimination (determinants, rank, inverses, solves and span
 coordinates), one symmetric congruence elimination (signatures and the
-LDL-style rational Cholesky split used by the vector enumerator), Smith
-normal form with a deterministic pivot rule, canonical Hermite forms for
-lattice spans, and integral kernels.
+LDL-style rational Cholesky split used by the vector enumerator), and one
+integer reduction, the canonical row Hermite form, from which come the
+Hermite bases of lattice spans, the Smith invariant factors and
+saturated integral kernels.
 """
 
 from __future__ import annotations
@@ -204,126 +205,7 @@ def solve(a: Matrix, b: Sequence) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-
-class SnfResult:
-    """Diagonal form s with unimodular u, v satisfying u a v = s.
-
-    The diagonal is nonnegative and each entry divides the next.
-    """
-
-    __slots__ = ("s", "u", "v")
-
-    def __init__(self, s: Matrix, u: Matrix, v: Matrix):
-        self.s = s
-        self.u = u
-        self.v = v
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        r, c = shape(self.s)
-        return tuple(self.s[i][i] for i in range(min(r, c)))
-
-
-def _min_abs_pivot(m, t, rows, cols):
-    """Position of the least |nonzero| entry in the trailing block, row-major ties."""
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            x = m[i][j]
-            if x != 0 and (best is None or abs(x) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def smith_normal_form(a: Matrix) -> SnfResult:
-    """Smith normal form with transforms.
-
-    Pivots are chosen by least absolute value, ties broken by lowest
-    (row, column), which keeps the reduction deterministic. Row operations
-    accumulate in u, column operations in v, so u a v equals the returned
-    diagonal matrix.
-    """
-    rows, cols = shape(a)
-    m = [[int(x) for x in row] for row in a]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for r in m:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    t = 0
-    while True:
-        pos = _min_abs_pivot(m, t, rows, cols)
-        if pos is None:
-            break
-        if pos != (t, t):
-            if pos[0] != t:
-                swap_rows(t, pos[0])
-            if pos[1] != t:
-                swap_cols(t, pos[1])
-        while True:
-            # clear column t then row t; a nonzero remainder becomes the new pivot
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    add_row(i, t, -q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    add_col(j, t, -q)
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility fix-up: pivot must divide the trailing block
-        piv = m[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % piv != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if piv < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    return SnfResult(freeze(m), freeze(u), freeze(v))
-
-
-# ---------------------------------------------------------------------------
-# Hermite forms and integral kernels
+# Hermite forms, Smith invariants and integral kernels
 # ---------------------------------------------------------------------------
 
 
@@ -332,9 +214,12 @@ def row_hermite_form(a: Matrix) -> Matrix:
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     and zero rows are dropped; two matrices have equal row spans over the
-    integers exactly when their forms coincide.
+    integers exactly when their forms coincide. Entries may be ints or
+    integral Fractions; any other entry raises ValueError.
     """
     rows = [list(map(int, r)) for r in a]
+    if any(x != y for r, s in zip(a, rows) for x, y in zip(r, s)):
+        raise ValueError("Hermite form of a matrix with non-integral entries")
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     r = 0
@@ -370,24 +255,43 @@ def column_hermite_form(a: Matrix) -> Matrix:
     return transpose(row_hermite_form(transpose(a)))
 
 
+def smith_normal_form(a: Matrix) -> tuple[int, ...]:
+    """Invariant factors of an integer matrix: its Smith diagonal.
+
+    There are min(rows, cols) entries, nonnegative, each dividing the
+    next. Row Hermite forms of the matrix and of its transpose alternate
+    until it is diagonal; both moves are unimodular. This ends: a round
+    that does not split off the first row and column strictly lowers the
+    (1,1) entry, a positive integer, to the gcd of the old first row, and
+    a split-off row and column stay split. Hermite forms drop zero rows,
+    so a zero row or column only shrinks the matrix. Pairwise (gcd, lcm)
+    swaps then order the diagonal into a divisor chain.
+    """
+    m = row_hermite_form(a)
+    while any(x for i, r in enumerate(m) for j, x in enumerate(r) if i != j):
+        m = row_hermite_form(transpose(m))
+    d = [m[i][i] for i in range(len(m))] + [0] * (min(shape(a)) - len(m))
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)
+
+
 def kernel_basis_int(a: Matrix) -> Matrix:
     """Columns spanning the integer kernel of an integer matrix.
 
-    The result is primitive: the kernel columns extend to a basis of the
-    full integer lattice, because they arrive as unimodular-transform
-    columns matched to zero diagonal entries of the Smith form.
+    The columns are the rows of the Hermite form of [a^T | I] whose a^T
+    part is zero. That form is a unimodular transform of [a^T | I], so
+    the kernel basis is saturated: it extends to a basis of the full
+    integer lattice.
     """
     rows, cols = shape(a)
-    if rows == 0 or cols == 0:
-        return identity(cols)
-    res = smith_normal_form(a)
-    rank = sum(1 for d in res.diagonal if d != 0)
-    vt = transpose(res.v)
-    # v columns past the rank are the kernel
-    kernel_cols = [vt[j] for j in range(rank, cols)]
-    if not kernel_cols:
+    h = row_hermite_form(
+        tuple(row + e for row, e in zip(transpose(a), identity(cols))))
+    kernel = [row[rows:] for row in h if not any(row[:rows])]
+    if not kernel:
         return tuple(() for _ in range(cols))
-    return transpose(freeze(kernel_cols))
+    return transpose(freeze(kernel))
 
 
 # ---------------------------------------------------------------------------

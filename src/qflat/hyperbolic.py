@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    common_denominator,
     content,
     dot,
     freeze,
@@ -302,13 +303,16 @@ def classify_hyperplane_meet(f, q, t, v, *, alpha=1):
 def complement_form(L, v):
     """Gram matrix of f on the sublattice orthogonal to v.
 
-    The basis comes from the integer kernel of the pairing row (v, .); it
-    is saturated but not reduced.  Output may be indefinite or negative
+    The basis is the Hermite-reduced, saturated integer kernel of the
+    pairing row (v, .); v is first cleared of denominators, which leaves
+    its complement unchanged.  Output may be indefinite or negative
     definite when the ambient form is indefinite; callers can inspect the
     signature.
     """
     G = _form_of(L)
     v = _vector_of(v)
+    den = common_denominator(v)
+    v = tuple(int(x * den) for x in v)
     if G.value(v) == 0:
         raise IsotropicVector("complement of an isotropic vector is singular")
     basis = kernel_basis_int((mat_vec(G.matrix, v),))

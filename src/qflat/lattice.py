@@ -188,8 +188,7 @@ def invariant_factors(lat: Lattice) -> tuple[int, ...]:
     """
     if not lat.is_classically_integral:
         raise NotClassicallyIntegral("invariant factors need an integral lattice")
-    g = tuple(tuple(int(x) for x in row) for row in lat.induced_gram)
-    return exact.smith_normal_form(g).diagonal
+    return exact.smith_normal_form(lat.induced_gram)
 
 
 def discriminant(lat: Lattice) -> Fraction:

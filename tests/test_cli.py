@@ -38,7 +38,11 @@ def forms(tmp_path_factory):
         p.write_text(form.text())
         paths[name] = str(p)
     for name, mat in [("g1", [[2, 1], [1, 1]]), ("g2", [[1, 1], [1, 2]]),
-                      ("g3", [[1, 0, 0], [0, 2, 0], [0, 0, 1]])]:
+                      ("g3", [[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
+                      ("g29", [[2.9, 1], [1, 1]]),
+                      ("ginf", [[float("inf"), 1], [1, 1]]),
+                      ("gstr", [["2", 1], [1, 1]]),
+                      ("gbool", [[True, 1], [1, 1]])]:
         p = d / f"{name}.json"
         p.write_text(json.dumps({"matrix": mat}))
         paths[name] = str(p)
@@ -203,6 +207,37 @@ def test_lattice_subcommands(forms, capsys):
     assert "invariant factors:" in out
 
 
+# naive Smith elimination blows up on these; each must finish well inside
+# the 30 s limit of a fresh `qf` process
+COMPLEMENT7 = ((584, -197, 0, 340, 457, 1475, -1840),
+               (-197, 70, -1, -118, -155, -496, 620),
+               (0, -1, 2, 0, 0, 0, 0),
+               (340, -118, 0, 202, 267, 856, -1070),
+               (457, -155, 0, 267, 358, 1154, -1440),
+               (1475, -496, 0, 856, 1154, 3730, -4651),
+               (-1840, 620, 0, -1070, -1440, -4651, 5802))
+SATURATE5 = ((270, 9, 9, 9, 9), (9, 270, -3, -9, 0), (9, -3, 30, 0, 0),
+             (9, -9, 0, 30, 0), (9, 0, 0, 0, 30))
+
+
+@pytest.mark.parametrize("name, gram, last_line", [
+    ("factors", COMPLEMENT7, "1 1 1 1 1 1 134"),
+    ("saturate", SATURATE5, "invariant factors: 3 3 3 3 646005"),
+], ids=["factors-rank7", "saturate-rank5"])
+def test_lattice_subcommands_finish_on_large_entries(tmp_path, name, gram,
+                                                     last_line):
+    path = tmp_path / "f.qf"
+    path.write_text(GramForm(gram).text())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "qflat.cli", name,
+                          "--form", str(path)],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == last_line
+
+
 def test_root_subcommands(forms, capsys):
     code, out, _ = run(capsys, "reflect", "--form", forms["u22"],
                        "--root", "0,0,1", "--vector", "1,2,3")
@@ -295,12 +330,18 @@ def test_indefinite_form_names_the_cause(forms, capsys):
     ["pingpong", "--g1", "{g1}", "--g2", "{g2}", "--mmax", "0"],
     ["pingpong", "--g1", "{g3}", "--g2", "{g2}"],
     ["mass-check", "--form", "{e8}", "--m", "2", "--tol", "-1"],
+    ["pingpong", "--g1", "{g29}", "--g2", "{g2}"],
+    ["pingpong", "--g1", "{ginf}", "--g2", "{g2}"],
+    ["pingpong", "--g1", "{gstr}", "--g2", "{g2}"],
+    ["pingpong", "--g1", "{gbool}", "--g2", "{g2}"],
 ], ids=["autord-z9", "reflect-not-a-root", "prop41-negative-king",
         "density-m0", "density-m-3", "split2-anisotropic-z4", "split2-k2",
         "jordan-k0", "classify-root-zero", "reflect-zero-root",
         "density-above-kmax", "infdensity-precision-0",
         "ledger41-precision-negative", "pingpong-mmax0",
-        "pingpong-non-isometry", "mass-check-negative-tol"])
+        "pingpong-non-isometry", "mass-check-negative-tol",
+        "pingpong-float-entry", "pingpong-infinite-entry",
+        "pingpong-string-entry", "pingpong-boolean-entry"])
 def test_input_errors_exit_2_with_one_line(forms, capsys, argv):
     code, out, err = run(capsys, *(a.format(**forms) for a in argv))
     assert code == 2 and out == ""
@@ -358,18 +399,25 @@ def _fuzz_vector(draw, n):
     return ",".join(str(x) for x in v)
 
 
+# subcommands that run only the integer reduction, cheap up to rank 7
+LATTICE_CALLS = ("factors", "dual", "complement", "saturate")
+
+
 @st.composite
 def cheap_calls(draw):
     """(Gram rows, argv without --form) for a subcommand that stays cheap
-    on small forms; the rows may be singular or indefinite."""
-    n = draw(st.integers(1, 4))
+    on its forms: rank <= 7 and entries in -9..9 for LATTICE_CALLS, rank
+    <= 4 and entries in -3..3 otherwise; the rows may be singular or
+    indefinite."""
+    name = draw(st.sampled_from(["classify-root", "reflect", "complement",
+                                 "factors", "dual", "jordan", "split2",
+                                 "density", "saturate"]))
+    n, e = (7, 9) if name in LATTICE_CALLS else (4, 3)
+    n = draw(st.integers(1, n))
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
-    name = draw(st.sampled_from(["classify-root", "reflect", "complement",
-                                 "factors", "dual", "jordan", "split2",
-                                 "density"]))
+            gram[i][j] = gram[j][i] = draw(st.integers(-e, e))
     if name == "reflect":
         options = ["--root=" + _fuzz_vector(draw, n),
                    "--vector=" + _fuzz_vector(draw, n)]

@@ -4,7 +4,17 @@ from fractions import Fraction
 import pytest
 
 from qflat.enumeration import fingerprint
-from qflat.exact import determinant, identity, mat_mul, mat_vec, transpose
+from qflat import hyperbolic
+from qflat.exact import (
+    determinant,
+    identity,
+    kernel_basis_int,
+    mat_mul,
+    mat_vec,
+    rank,
+    smith_normal_form,
+    transpose,
+)
 from qflat.gram import GramForm, e8_form, hyperbolic_plane, orthogonal_sum
 from qflat.hyperbolic import (
     BadDecomposition,
@@ -308,3 +318,34 @@ def test_complement_fingerprint_is_isometry_invariant():
     # a reflected negative root has the same complement class
     r = reflect(L, (1, 1, 0), v)
     assert fingerprint(complement_form(L, r), 4) == base
+
+
+@pytest.mark.parametrize("L, v", [
+    (e8_form(), (-1, 4, -2, 1, 3, -3, -4, 3)),
+    (GramForm(((0, 1, 0), (1, 0, 0), (0, 0, 2))), (1, 2, 3)),
+    (GramForm(identity(5)), (2, 0, -3, 1, 4)),
+    (GramForm(((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+     (3, 1, 2, 0)),
+], ids=["e8", "u22", "z5", "minus1+z3"])
+def test_complement_basis_is_saturated_and_orthogonal(monkeypatch, L, v):
+    seen = []
+
+    def spy(a):
+        seen.append(kernel_basis_int(a))
+        return seen[-1]
+
+    monkeypatch.setattr(hyperbolic, "kernel_basis_int", spy)
+    Q = complement_form(L, v)
+    (basis,) = seen
+    assert Q.matrix == mat_mul(transpose(basis), mat_mul(L.matrix, basis))
+    # every basis column is orthogonal to v
+    assert mat_mul((mat_vec(L.matrix, v),), basis) == ((0,) * (L.n - 1),)
+    assert rank(basis) == L.n - 1
+    # saturated: the columns extend to a basis of Z^n
+    assert smith_normal_form(basis) == (1,) * (L.n - 1)
+
+
+def test_complement_clears_denominators_of_v():
+    G = GramForm(((0, 1, 0), (1, 0, 0), (0, 0, 2)))
+    assert (complement_form(G, (Fraction(1, 2), Fraction(1, 3), 0))
+            == complement_form(G, (3, 2, 0)))
