@@ -2,14 +2,16 @@
 
 The generators act on the space of binary forms (a, b, c) with the
 discriminant pairing b^2 - 4ac; they arise as symmetric squares of
-integer 2x2 matrices.  The certificate is a ping-pong table: four
-disjoint boundary neighborhoods, each swallowing the complement of its
-partner under the m-th power, checked end to end in exact rationals.
+integer 2x2 matrices.  The certificate is a ping-pong table of
+Dirichlet half-spaces: from the base point x^2 + xy + y^2, the points
+nearer s(base) than the base for s = g1^(+-m), g2^(+-m).  Six integer
+inequalities on their normals show the four half-spaces disjoint, and
+each power maps the complement of its inverse's half-space into its own.
 
 Run as `python3 demos/free_subgroup.py`.
 """
 
-from qflat.pingpong import (schottky_certify, symmetric_square,
+from qflat.pingpong import (LABELS, schottky_certify, symmetric_square,
                             translation_axis, translation_length)
 
 
@@ -33,11 +35,12 @@ def main():
 
     cert = schottky_certify(g1, g2, m_max=20)
     print(f"\nping-pong table found at m = {cert.m}")
-    for box in cert.boxes:
-        print(f"  {box.label}: u in [{box.u_lo}, {box.u_hi}], "
-              f"w in [{box.w_lo}, {box.w_hi}]")
-    for text in cert.inclusions:
-        print(f"  certified: {text}")
+    print(f"  base point {cert.base}")
+    for label, a in zip(LABELS, cert.normals):
+        print(f"  {label}: half-space (x, {a}) > 0")
+    for a, b, ab, aabb in cert.inequalities():
+        print(f"  ({a}, {b}) = {ab} < 0 and ({a}, {b})^2 > "
+              f"({a}, {a})({b}, {b}) = {aabb}")
     print(f"word audit: {cert.words_checked} reduced words of length <= 6, "
           "none equal to the identity")
     print(f"\nhence <g1^{cert.m}, g2^{cert.m}> is free of rank 2.")

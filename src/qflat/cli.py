@@ -250,8 +250,8 @@ def _cmd_prop41(args):
 
 
 def _cmd_pingpong(args):
-    from .pingpong import (NotHyperbolic, SearchExhausted, SharedEndpoint,
-                           schottky_certify)
+    from .pingpong import (LABELS, NotHyperbolic, SearchExhausted,
+                           SharedEndpoint, schottky_certify)
     g1, g2 = _read(args.g1, _isometry), _read(args.g2, _isometry)
     try:
         cert = schottky_certify(g1, g2, m_max=args.mmax)
@@ -260,9 +260,12 @@ def _cmd_pingpong(args):
                 [f"no certificate: {err}"])
     return {**cert.to_json_dict(), "pass": True}, [
         f"free for m = {cert.m}",
-        *(f"  box {b.label}: u in [{b.u_lo}, {b.u_hi}], "
-          f"w in [{b.w_lo}, {b.w_hi}]" for b in cert.boxes),
-        *(f"  certified: {text}" for text in cert.inclusions),
+        f"  base: {_words(cert.base)}",
+        *(f"  normal {label}: {_words(a)}"
+          for label, a in zip(LABELS, cert.normals)),
+        *(f"  certified: ({a}, {b}) = {ab} < 0, "
+          f"({a}, {b})^2 = {ab * ab} > {aabb} = ({a}, {a})({b}, {b})"
+          for a, b, ab, aabb in cert.inequalities()),
         f"word audit: {cert.words_checked} reduced words, none trivial",
     ]
 

@@ -3,26 +3,26 @@ isometries.
 
 Hyperbolicity and translation length are certified through exact integer
 traces of matrix powers, valid for isometries of forms with one negative
-eigenvalue.  Axis extraction and the Schottky search run on the boundary
-circle of the binary-forms model (the 3-dimensional discriminant pairing),
-which has a rational parametrization: every dynamical step reduces to
-Moebius maps with integer entries acting on rational points, so all
-certificate checks are exact.  Axis endpoints themselves live in a real
-quadratic field and are returned exactly.  One closed-form rule names the
-attracting fixed point of a boundary map ((p, q), (r, s)): its eigenvalue
-(p + s +- sqrt(disc))/2 takes the sign of the trace p + s, so it is the
-larger one in absolute value.  The axis certifies that eigenvalue, and the
-certificate's inclusions at power m check the arcs built around it.
+eigenvalue.  Axis extraction runs on the boundary circle of the
+binary-forms model (the 3-dimensional discriminant pairing), which has a
+rational parametrization: isometries act there by Moebius maps with
+integer entries.  Axis endpoints live in a real quadratic field and are
+returned exactly.  One closed-form rule names the attracting fixed point
+of a boundary map ((p, q), (r, s)): its eigenvalue (p + s +- sqrt(disc))/2
+takes the sign of the trace p + s, so it is the larger one in absolute
+value.  The Schottky certificate needs no boundary at all: one base point
+and four integer normals, the Dirichlet half-spaces of the powered
+generators, decide ping-pong by integer inequalities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations
 
-from .exact import (common_denominator, content, freeze, identity,
-                    mat_inverse, mat_mul, mat_vec, solve)
+from .exact import (common_denominator, freeze, identity,
+                    mat_inverse, mat_mul, mat_vec, primitive_part, solve)
 from .gram import GramForm
 from .intervals import Interval, log_interval
 
@@ -40,7 +40,7 @@ class SearchExhausted(Exception):
 
 
 class UnsupportedBoundary(ValueError):
-    """The boundary machinery runs on the binary-forms model only."""
+    """The axis and the certificate run on the binary-forms model only."""
 
 
 _DISC_GRAM = ((0, 0, -2), (0, 1, 0), (-2, 0, 0))
@@ -227,19 +227,15 @@ def _mat_pow(A, k):
 # so the boundary is a projective line and isometries act by Moebius maps
 
 
+def _primitive(v):
+    """The primitive integer vector on the ray of a nonzero rational v."""
+    den = common_denominator(v)
+    return primitive_part([x * den for x in v])
+
+
 def _proj(p, q):
-    p, q = Fraction(p), Fraction(q)
-    den = common_denominator((p, q))
-    a, b = int(p * den), int(q * den)
-    g = gcd(a, b)
-    if g:
-        a, b = a // g, b // g
-    if b < 0 or (b == 0 and a < 0):
-        a, b = -a, -b
-    return (a, b)
-
-
-_INFINITY = (1, 0)
+    a, b = _primitive((p, q))
+    return (-a, -b) if b < 0 or (b == 0 and a < 0) else (a, b)
 
 
 def _disc_ray(pt):
@@ -256,33 +252,10 @@ def _disc_param(v):
     raise ValueError("not a light ray")
 
 
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _in_arc(x, lo, hi):
-    """Strictly inside the arc swept from lo to hi counterclockwise."""
-    s = _cross(lo, x) * _cross(x, hi) * _cross(lo, hi)
-    return s < 0
-
-
-def _arc_included(lo, hi, big_lo, big_hi):
-    return _in_arc(lo, big_lo, big_hi) and _in_arc(hi, lo, big_hi)
-
-
 def _apply_mobius(mu, pt):
     (p, q), (r, s) = mu
     x, y = pt
     return _proj(p * x + q * y, r * x + s * y)
-
-
-def _mat2_det(mu):
-    return mu[0][0] * mu[1][1] - mu[0][1] * mu[1][0]
-
-
-def _mat2_adj(mu):
-    (p, q), (r, s) = mu
-    return ((s, -q), (-r, p))
 
 
 def _require_disc_isometry(A):
@@ -299,18 +272,16 @@ def _require_disc_isometry(A):
 
 def _mobius_of(A):
     """Integer Moebius map realizing A on the parametrized light cone."""
-    probes = [(0, 1), (1, 1), _INFINITY]
+    probes = [(0, 1), (1, 1), (1, 0)]
     images = [_disc_param(mat_vec(A, _disc_ray(t))) for t in probes]
     w0, w1, winf = images
     mat = ((Fraction(winf[0]), Fraction(w0[0])),
            (Fraction(winf[1]), Fraction(w0[1])))
     alpha, beta = solve(mat, (Fraction(w1[0]), Fraction(w1[1])))
     raw = ((alpha * winf[0], beta * w0[0]), (alpha * winf[1], beta * w0[1]))
-    den = common_denominator(x for row in raw for x in row)
-    ints = [int(x * den) for row in raw for x in row]
-    g = content(ints)
-    mu = ((ints[0] // g, ints[1] // g), (ints[2] // g, ints[3] // g))
-    if _mat2_det(mu) == 0:
+    p, q, r, s = _primitive([x for row in raw for x in row])
+    mu = ((p, q), (r, s))
+    if p * s == q * r:
         raise AssertionError("degenerate boundary action")
     for t in [(2, 1), (-1, 1), (5, 3)]:
         want = _disc_param(mat_vec(A, _disc_ray(t)))
@@ -396,142 +367,6 @@ def translation_axis(g):
     return AxisRays(att, rep, nu, att[0].d or att[2].d)
 
 
-# ---------------------------------------------------------------------------
-# arcs around fixed points, their chart boxes
-
-
-def _chart_u(t):
-    return Fraction(1) / (1 + t * t)
-
-
-def _chart_w(t):
-    return Fraction(-2) * t / (1 + t * t)
-
-
-@dataclass(frozen=True)
-class ChartBox:
-    """Axis-aligned box in the sheet-seed chart (a, b)/(a + c)."""
-
-    label: str
-    u_lo: Fraction
-    u_hi: Fraction
-    w_lo: Fraction
-    w_hi: Fraction
-
-    def disjoint(self, other):
-        return (self.u_hi < other.u_lo or other.u_hi < self.u_lo
-                or self.w_hi < other.w_lo or other.w_hi < self.w_lo)
-
-    def to_json_dict(self):
-        return {
-            "label": self.label,
-            "u": [str(self.u_lo), str(self.u_hi)],
-            "w": [str(self.w_lo), str(self.w_hi)],
-        }
-
-
-class _RootArc:
-    """Shrinkable rational arc around one fixed point of a Moebius map.
-
-    Shapes keep the arc inside a region where the chart box cuts the
-    boundary circle exactly along the arc: a band (lo, hi) that is
-    one-signed or symmetric about 0, or a symmetric neighborhood of
-    infinity.  A rational band shrinks to its middle half; an irrational
-    band (phi set) keeps the half holding its root of phi.
-    """
-
-    def __init__(self, shape, data, phi=None):
-        self.shape = shape
-        self.data = data
-        self.phi = phi
-
-    @staticmethod
-    def around_rational(t, other):
-        w = abs(t) / 2 if t else Fraction(1, 2)
-        if other is not None:
-            w = min(w, abs(t - other) / 2)
-        return _RootArc("band", (t - w, t + w))
-
-    @staticmethod
-    def around_infinity(other):
-        n = Fraction(2)
-        if other is not None:
-            n = max(n, 2 * abs(other) + 1)
-        return _RootArc("inf", n)
-
-    def refine(self):
-        if self.shape == "inf":
-            self.data = self.data * 2
-            return
-        lo, hi = self.data
-        mid = (lo + hi) / 2
-        if self.phi is None:
-            quarter = (hi - lo) / 4
-            self.data = (mid - quarter, mid + quarter)
-        else:
-            rho, sigma, kappa = self.phi
-            flo = rho * lo * lo + sigma * lo + kappa
-            fmid = rho * mid * mid + sigma * mid + kappa
-            if (flo > 0) == (fmid > 0):
-                self.data = (mid, hi)
-            else:
-                self.data = (lo, mid)
-
-    def endpoints(self):
-        if self.shape == "inf":
-            return _proj(self.data, 1), _proj(-self.data, 1)
-        lo, hi = self.data
-        return _proj(lo, 1), _proj(hi, 1)
-
-    def chart_box(self, label):
-        if self.shape == "inf":
-            n = self.data
-            return ChartBox(label, Fraction(0), _chart_u(n),
-                            _chart_w(n), -_chart_w(n))
-        lo, hi = self.data
-        us = sorted((_chart_u(lo), _chart_u(hi)))
-        if lo < 0 < hi:
-            us[1] = Fraction(1)
-        ws = [_chart_w(lo), _chart_w(hi)]
-        if lo < 1 < hi:
-            ws.append(_chart_w(Fraction(1)))
-        if lo < -1 < hi:
-            ws.append(_chart_w(Fraction(-1)))
-        return ChartBox(label, us[0], us[1], min(ws), max(ws))
-
-
-def _fixed_point_arcs(mu):
-    """Arcs (attracting, repelling) around the two fixed points of mu.
-
-    _fixed_point_data's trace sign picks the attracting point.  Irrational
-    roots get the two halves of a band split at the vertex of phi, each
-    bisected until it excludes 0 (an irrational root is never 0).
-    """
-    (rho, sigma, kappa), disc, e = _fixed_point_data(mu)
-    if rho == 0:
-        finite = Fraction(-kappa, sigma)
-        inf = _RootArc.around_infinity(finite)
-        fin = _RootArc.around_rational(finite, None)
-        return (inf, fin) if e > 0 else (fin, inf)
-    root = isqrt(disc)
-    if root * root == disc:
-        t1 = Fraction(-sigma + e * root, 2 * rho)
-        t2 = Fraction(-sigma - e * root, 2 * rho)
-        return (_RootArc.around_rational(t1, t2),
-                _RootArc.around_rational(t2, t1))
-    bound = 1 + max(abs(sigma), abs(kappa)) / abs(Fraction(rho))
-    vertex = Fraction(-sigma, 2 * rho)
-    phi = (rho, sigma, kappa)
-    above = _RootArc("band", (vertex, bound), phi)
-    below = _RootArc("band", (-bound, vertex), phi)
-    # (-sigma + e*sqrt(disc))/(2 rho) lies above the vertex iff e*rho > 0
-    arcs = (above, below) if e * rho > 0 else (below, above)
-    for arc in arcs:
-        while arc.data[0] <= 0 <= arc.data[1]:
-            arc.refine()
-    return arcs
-
-
 def _resultant(phi1, phi2):
     a1, b1, c1 = phi1
     a2, b2, c2 = phi2
@@ -540,30 +375,45 @@ def _resultant(phi1, phi2):
 
 
 # ---------------------------------------------------------------------------
-# the certificate
+# the certificate: Dirichlet half-spaces around one base point
+
+# x^2 + xy + y^2, the reduced positive definite form of discriminant -3
+_BASE = (1, 1, 1)
+LABELS = ("g1+", "g1-", "g2+", "g2-")
+
+
+def _pairings(normals):
+    """(label a, label b, (a, b), (a, a)(b, b)) for the six pairs."""
+    f = binary_disc_form()
+    return [(la, lb, f.inner(a, b), f.value(a) * f.value(b))
+            for (la, a), (lb, b) in combinations(zip(LABELS, normals), 2)]
 
 
 @dataclass(frozen=True)
 class SchottkyCertificate:
-    """Verified ping-pong data: the powered pair generates a free group."""
+    """Verified ping-pong data: the powered pair generates a free group.
+
+    normals[i] is the primitive integer multiple of s*base - base for the
+    i-th of g1^m, g1^-m, g2^m, g2^-m, labelled as in LABELS.
+    """
 
     m: int
-    boxes: tuple
-    arcs: tuple
-    inclusions: tuple
+    base: tuple
+    normals: tuple
     words_checked: int
+
+    def inequalities(self):
+        """(label a, label b, (a, b), (a, a)(b, b)) for the six pairs of
+        normals; each has (a, b) < 0 and (a, b)^2 > (a, a)(b, b)."""
+        return _pairings(self.normals)
 
     def to_json_dict(self):
         return {
             "check": "schottky",
             "m": self.m,
-            "boxes": [b.to_json_dict() for b in self.boxes],
-            "arcs": [
-                {"from": [str(a[0][0]), str(a[0][1])],
-                 "to": [str(a[1][0]), str(a[1][1])]}
-                for a in self.arcs
-            ],
-            "inclusions": list(self.inclusions),
+            "base": [str(x) for x in self.base],
+            "normals": [{"label": label, "vector": [str(x) for x in a]}
+                        for label, a in zip(LABELS, self.normals)],
             "word_audit": {"checked": self.words_checked, "pass": True},
         }
 
@@ -601,68 +451,53 @@ def free_words_audit(a, b, max_len=6):
 def schottky_certify(g1, g2, m_max=20):
     """Search for a power m making the pair of isometries play ping-pong.
 
-    Four disjoint boxes around the axis endpoints are certified, then m
-    grows until each powered generator maps the complement of its
-    repelling arc strictly inside its attracting arc.  A returned
-    certificate is sound: the powered pair generates a free group of
-    rank 2.  Failure to find one proves nothing.
+    The certificate is Dirichlet's.  H is the sheet of positive definite
+    forms, and x0 = (1, 1, 1) the base point.  For s in g1^(+-m), g2^(+-m)
+    let a_s = s*x0 - x0 and D_s = {x in H : (x, a_s) > 0}, the points
+    nearer s*x0 than x0.  As (x, s^-1*x0 - x0) = -(s*x, a_s), s maps
+    H minus D_(s^-1) onto the closure of D_s.  A hyperbolic s fixes no
+    point of H, so (x0, a_s) < 0: x0 lies outside every closure.  Two
+    such closed half-spaces with x0 outside both are disjoint when
+    (a, b) < 0 and (a, b)^2 > (a, a)(b, b): their boundary lines are
+    ultraparallel and face away from each other.  When all six pairs pass,
+    a reduced word s_1...s_k in the four powers maps x0 into the closure
+    of D_(s_1), by induction from the right, so it does not fix x0 and is
+    not the identity: g1^m and g2^m generate a free group of rank 2.
+
+    A generator enters as A or -A, whichever keeps the sheet of x0: both
+    act alike on H, and a pair whose images are free is free.  The
+    normals are scaled to primitive integer vectors, which moves no
+    half-space.  free_words_audit re-checks the short words on the
+    matrices themselves.  Failure to find a power proves nothing.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     A1, A2 = _matrix_of(g1), _matrix_of(g2)
     _require_disc_isometry(A1)
     _require_disc_isometry(A2)
-    mu1, mu2 = _mobius_of(A1), _mobius_of(A2)
-    phi1, _, _ = _fixed_point_data(mu1)
-    phi2, _, _ = _fixed_point_data(mu2)
+    phi1, _, _ = _fixed_point_data(_mobius_of(A1))
+    phi2, _, _ = _fixed_point_data(_mobius_of(A2))
     if _resultant(phi1, phi2) == 0:
         raise SharedEndpoint("the axes share a boundary ray")
-    att1, rep1 = _fixed_point_arcs(mu1)
-    att2, rep2 = _fixed_point_arcs(mu2)
-    labeled = [("g1+", att1), ("g1-", rep1), ("g2+", att2), ("g2-", rep2)]
-    for _ in range(300):
-        boxes = [arc.chart_box(label) for label, arc in labeled]
-        if all(boxes[i].disjoint(boxes[j])
-               for i in range(4) for j in range(i + 1, 4)):
-            break
-        for _, arc in labeled:
-            arc.refine()
-    else:
-        raise AssertionError("boxes failed to separate")
-
-    def entry(mu_m, det_sign, source, target, text):
-        lo, hi = source.endpoints()
-        comp_lo, comp_hi = hi, lo
-        il = _apply_mobius(mu_m, comp_lo)
-        ih = _apply_mobius(mu_m, comp_hi)
-        if det_sign < 0:
-            il, ih = ih, il
-        tlo, thi = target.endpoints()
-        return _arc_included(il, ih, tlo, thi), text
-
-    inv1, inv2 = _mat2_adj(mu1), _mat2_adj(mu2)
+    f = binary_disc_form()
+    steps = []
+    for A in (A1, A2):
+        if f.inner(_BASE, mat_vec(A, _BASE)) > 0:
+            A = tuple(tuple(-x for x in row) for row in A)
+        steps += [A, mat_inverse(A)]
+    points = [_BASE] * 4
     for m in range(1, m_max + 1):
-        p1, q1 = _mat_pow(mu1, m), _mat_pow(inv1, m)
-        p2, q2 = _mat_pow(mu2, m), _mat_pow(inv2, m)
-        sgn1 = 1 if _mat2_det(p1) > 0 else -1
-        sgn2 = 1 if _mat2_det(p2) > 0 else -1
-        table = [
-            entry(p1, sgn1, rep1, att1, "g1^m(complement of g1-) in g1+"),
-            entry(q1, sgn1, att1, rep1, "g1^-m(complement of g1+) in g1-"),
-            entry(p2, sgn2, rep2, att2, "g2^m(complement of g2-) in g2+"),
-            entry(q2, sgn2, att2, rep2, "g2^-m(complement of g2+) in g2-"),
-        ]
-        if all(ok for ok, _ in table):
-            h1, h2 = _mat_pow(A1, m), _mat_pow(A2, m)
-            checked, clean, word = free_words_audit(h1, h2)
+        points = [mat_vec(s, x) for s, x in zip(steps, points)]
+        normals = tuple(_primitive([y - b for y, b in zip(x, _BASE)])
+                        for x in points)
+        if any(f.inner(_BASE, a) >= 0 for a in normals):
+            raise AssertionError("the base point lies in a half-space")
+        if all(ab < 0 and ab * ab > aabb
+               for _, _, ab, aabb in _pairings(normals)):
+            checked, clean, word = free_words_audit(_mat_pow(A1, m),
+                                                    _mat_pow(A2, m))
             if not clean:
                 raise AssertionError(
                     f"certificate contradicted by word {word}")
-            return SchottkyCertificate(
-                m,
-                tuple(arc.chart_box(label) for label, arc in labeled),
-                tuple(arc.endpoints() for _, arc in labeled),
-                tuple(text for _, text in table),
-                checked,
-            )
+            return SchottkyCertificate(m, _BASE, normals, checked)
     raise SearchExhausted(f"no ping-pong table for any m <= {m_max}")

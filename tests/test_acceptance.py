@@ -27,7 +27,8 @@ from qflat.lattice import Lattice, invariant_factors, saturate
 from qflat.localform import local_density
 from qflat.massledger import (GenusInput, bounds_ledger_41,
                               prop41_arithmetic, siegel_check)
-from qflat.pingpong import schottky_certify, symmetric_square
+from qflat.pingpong import (binary_disc_form, schottky_certify,
+                            symmetric_square)
 
 E8 = e8_form()
 H = GramForm(((0, 1), (1, 0)))
@@ -244,10 +245,12 @@ def test_a09_schottky_certificate():
     assert cert.m <= 20
     # all reduced words of length <= 6 over the powered pair: 4 * 364
     assert cert.words_checked == 1456
-    boxes = cert.boxes
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert boxes[i].disjoint(boxes[j])
+    # four Dirichlet half-spaces, pairwise disjoint, none holding the base
+    f = binary_disc_form()
+    assert all(f.inner(cert.base, a) < 0 for a in cert.normals)
+    pairs = cert.inequalities()
+    assert len(pairs) == 6
+    assert all(ab < 0 and ab * ab > aabb for _, _, ab, aabb in pairs)
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflat.cli import main
+from qflat.exact import content, determinant, mat_vec, primitive_part
 from qflat.gram import GramForm, e8_form, identity_form, parse_gram_text
 
 H = GramForm(((0, 1), (1, 0)))
@@ -141,7 +143,8 @@ def test_pingpong_json(forms, capsys):
     assert doc["pass"] is True
     assert doc["m"] == 3
     assert doc["word_audit"] == {"checked": 1456, "pass": True}
-    assert len(doc["boxes"]) == 4 and len(doc["inclusions"]) == 4
+    assert doc["base"] == ["1", "1", "1"]
+    assert [n["label"] for n in doc["normals"]] == ["g1+", "g1-", "g2+", "g2-"]
 
 
 def test_mass_check_json(forms, capsys):
@@ -442,15 +445,13 @@ def fuzz_form(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "f.qf"
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(cheap_calls())
-def test_fuzzed_calls_exit_cleanly(fuzz_form, call):
-    gram, argv = call
-    fuzz_form.write_text(f"{len(gram)}\n"
-                         + "".join(" ".join(map(str, r)) + "\n" for r in gram))
+def run_clean(argv):
+    """main(argv) under the exit contract: 0, 1 or 2; exit 2 prints one
+    `qf:` line on stderr and nothing on stdout; a --json document says
+    "pass": false exactly on exit 1.  Returns (code, stdout)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([argv[0], "--form", str(fuzz_form), *argv[1:]])
+        code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
@@ -458,6 +459,75 @@ def test_fuzzed_calls_exit_cleanly(fuzz_form, call):
         assert err.getvalue().count("\n") == 1
     elif "--json" in argv:
         assert (code == 1) == (json.loads(out.getvalue()).get("pass") is False)
+    return code, out.getvalue()
+
+
+def write_gram(path, gram):
+    path.write_text(f"{len(gram)}\n"
+                    + "".join(" ".join(map(str, r)) + "\n" for r in gram))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cheap_calls())
+def test_fuzzed_calls_exit_cleanly(fuzz_form, call):
+    gram, argv = call
+    write_gram(fuzz_form, gram)
+    run_clean([argv[0], "--form", str(fuzz_form), *argv[1:]])
+
+
+@st.composite
+def complement_calls(draw):
+    """(Gram rows, vector) at rank 3-7 with entries in -9..9."""
+    n = draw(st.integers(3, 7))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-9, 9))
+    return gram, draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(complement_calls())
+def test_fuzzed_complement_has_the_determinant_identity(fuzz_form, call):
+    """On a nonsingular G, the complement of v satisfies
+    det(comp) * c^2 = det(G) * f(w), w the primitive part of v and
+    c = content(G w)."""
+    gram, v = call
+    write_gram(fuzz_form, gram)
+    code, out = run_clean(["complement", "--form", str(fuzz_form),
+                           "--vector=" + ",".join(map(str, v)), "--json"])
+    det = determinant(gram)
+    if code != 0 or det == 0:
+        return
+    w = primitive_part(v)
+    c = content(mat_vec(gram, w))
+    f_w = sum(x * y for x, y in zip(w, mat_vec(gram, w)))
+    assert determinant(json.loads(out)["gram"]) * c * c == det * f_w
+
+
+GL2 = [((p, q), (r, s)) for p, q, r, s in
+       itertools.product(range(-6, 7), repeat=4) if p * s - q * r in (1, -1)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_pair(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pair")
+    return d / "g1.json", d / "g2.json"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(GL2), st.sampled_from(GL2))
+def test_fuzzed_pingpong_pairs(fuzz_pair, m1, m2):
+    for path, m in zip(fuzz_pair, (m1, m2)):
+        path.write_text(json.dumps({"matrix": m}))
+    code, out = run_clean(["pingpong", "--g1", str(fuzz_pair[0]),
+                           "--g2", str(fuzz_pair[1]), "--json"])
+    assert code in (0, 1)
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["pass"] is (code == 0)
+    if code == 0:
+        assert doc["word_audit"]["checked"] == 1456
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Axis, translation-length, and ping-pong certificate tests."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,8 @@ from qflat.gram import GramForm, hyperbolic_plane, orthogonal_sum
 from qflat.hyperbolic import (cartan_involution, hyperbolic_distance,
                               reflection_matrix, sheet_point)
 from qflat.intervals import Interval, acosh_interval
-from qflat.pingpong import (AxisRays, NotHyperbolic, QuadraticNumber,
-                            _cross, _fixed_point_arcs, _in_arc, _mat_pow,
-                            _mobius_of, SchottkyCertificate, SearchExhausted,
+from qflat.pingpong import (LABELS, NotHyperbolic, QuadraticNumber,
+                            _mat_pow, SchottkyCertificate, SearchExhausted,
                             SharedEndpoint, UnsupportedBoundary,
                             binary_disc_form, free_words_audit,
                             schottky_certify, symmetric_square,
@@ -257,43 +257,121 @@ TRIANGULAR = [
     for M in (((p, x), (0, s)), ((p, 0), (x, s)))]
 
 
-def boundary_point(ray):
-    """The point (x : y) with ray = (y^2, -2xy, x^2), as QuadraticNumbers."""
-    one, zero = QuadraticNumber.make(1), QuadraticNumber.make(0)
-    if ray[0].sign() == 0:
-        return one, zero
-    return -ray[1] / (ray[0] * 2), one
+def side(x, a):
+    """(x, a) for an integral normal a and x rational or in Q(sqrt(d))."""
+    ga = mat_vec(binary_disc_form().matrix, a)
+    return sum((xi * gi for xi, gi in zip(x, ga)), QuadraticNumber.make(0))
 
 
-def strictly_inside(pt, arc):
-    lo, hi = arc.endpoints()
-    return (_cross(lo, pt) * _cross(pt, hi) * _cross(lo, hi)).sign() < 0
+def orbit_points(cert, g1, g2):
+    """s*base for s = g1^m, g1^-m, g2^m, g2^-m, each taken in the sheet of
+    the base (an isometry and its negative act alike on H^2)."""
+    points = []
+    for g in (g1, g2):
+        h = _mat_pow(freeze(g), cert.m)
+        for s in (h, mat_inverse(h)):
+            y = mat_vec(s, cert.base)
+            if side(y, cert.base).sign() > 0:
+                y = tuple(-t for t in y)
+            points.append(y)
+    return points
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(
+def check_inequalities(cert):
+    """The six pairs of normals pass (a, b) < 0 and (a, b)^2 > (a, a)(b, b)."""
+    pairs = cert.inequalities()
+    assert [(a, b) for a, b, _, _ in pairs] == [
+        (LABELS[i], LABELS[j]) for i in range(4) for j in range(i + 1, 4)]
+    for _, _, ab, aabb in pairs:
+        assert ab < 0 and ab * ab > aabb
+
+
+def check_normals(cert, g1, g2):
+    """The base lies outside every half-space, and each normal is a
+    positive multiple of s*base - base."""
+    x0 = cert.base
+    assert x0 == (1, 1, 1)
+    for y, a in zip(orbit_points(cert, g1, g2), cert.normals):
+        assert side(x0, a).sign() < 0
+        d = [t - b for t, b in zip(y, x0)]
+        assert all(d[i] * a[j] == d[j] * a[i]
+                   for i in range(3) for j in range(3))
+        assert sum(t * u for t, u in zip(d, a)) > 0
+
+
+def check_axis_rays(cert, g1, g2):
+    """The attracting ray of g lies in the half-space of g^m and outside
+    that of g^-m; the repelling ray lies in the half-space of g^-m."""
+    for g, plus, minus in ((g1, 0, 1), (g2, 2, 3)):
+        ax = translation_axis(g)
+        assert side(ax.attracting, cert.normals[plus]).sign() > 0
+        assert side(ax.attracting, cert.normals[minus]).sign() < 0
+        assert side(ax.repelling, cert.normals[minus]).sign() > 0
+
+
+def check_certificate(cert, g1, g2):
+    check_inequalities(cert)
+    check_normals(cert, g1, g2)
+    check_axis_rays(cert, g1, g2)
+
+
+GENERATORS = st.one_of(
     st.sampled_from(HYPERBOLIC_UNIMODULAR).map(symmetric_square),
     st.sampled_from(TRIANGULAR).map(scaled_square),
     st.just(((Fraction(4), 0, 0), (0, Fraction(1), 0),
-             (0, 0, Fraction(1, 4))))))
-def test_axis_rays_lie_in_the_labelled_arcs(A):
-    ax = translation_axis(A)
-    att, rep = _fixed_point_arcs(_mobius_of(freeze(A)))
-    assert strictly_inside(boundary_point(ax.attracting), att)
-    assert strictly_inside(boundary_point(ax.repelling), rep)
-    assert not strictly_inside(boundary_point(ax.attracting), rep)
+             (0, 0, Fraction(1, 4)))))
 
 
-def boxes_contain_arcs(cert):
-    """Every sampled boundary point inside an arc charts into its box."""
-    grid = [(Fraction(k, 8), 1) for k in range(-400, 401)] + [(1, 0)]
-    for box, (lo, hi) in zip(cert.boxes, cert.arcs):
-        inside = [pt for pt in grid if _in_arc(pt, lo, hi)]
-        assert inside
-        for x, y in inside:
-            u, w = (Fraction(y * y, x * x + y * y),
-                    Fraction(-2 * x * y, x * x + y * y))
-            assert box.u_lo <= u <= box.u_hi and box.w_lo <= w <= box.w_hi
+def certified(g1, g2):
+    """The certificate of the pair, or None where the search proves nothing."""
+    try:
+        return schottky_certify(g1, g2)
+    except (SharedEndpoint, SearchExhausted):
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(GENERATORS, GENERATORS)
+def test_axis_rays_lie_in_the_labelled_half_spaces(g1, g2):
+    cert = certified(g1, g2)
+    if cert is not None:
+        check_certificate(cert, g1, g2)
+
+
+@st.composite
+def points_of_h2(draw):
+    """A positive definite form (a, b, c) with a, c <= 10^6."""
+    a, c = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    bound = isqrt(4 * a * c - 1)
+    return a, draw(st.integers(-bound, bound)), c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(GENERATORS, GENERATORS, st.lists(points_of_h2(), min_size=1,
+                                        max_size=20),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(0, 10**4), st.integers(1, 10**4)),
+                max_size=20))
+def test_no_point_lies_in_two_half_spaces(g1, g2, points, chords):
+    cert = certified(g1, g2)
+    if cert is None:
+        return
+    orbit = orbit_points(cert, g1, g2)
+    points = points + [
+        tuple(k * y + l * z for y, z in zip(orbit[i], orbit[j]))
+        for i, j, k, l in chords]
+    # where two boundary lines meet inside H^2, the meeting point lies in
+    # both closed half-spaces
+    G = binary_disc_form().matrix
+    for a, b in combinations(cert.normals, 2):
+        (p, q, r), (u, v, w) = mat_vec(G, a), mat_vec(G, b)
+        x = (q * w - r * v, r * u - p * w, p * v - q * u)
+        if side(x, x).sign() < 0:
+            points.append(x if x[0] > 0 else tuple(-t for t in x))
+    for x in points:
+        assert side(x, x).sign() < 0
+        inside = [a for a in cert.normals if side(x, a).sign() >= 0]
+        assert len(inside) <= 1
 
 
 @pytest.fixture(scope="module")
@@ -307,17 +385,34 @@ class TestSchottky:
         assert isinstance(certificate, SchottkyCertificate)
         assert certificate.m == 3
 
-    def test_boxes_pairwise_disjoint(self, certificate):
-        boxes = certificate.boxes
-        assert len(boxes) == 4
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert boxes[i].disjoint(boxes[j])
+    def test_six_inequalities_hold(self, certificate):
+        check_inequalities(certificate)
 
-    def test_inclusion_table_has_four_entries(self, certificate):
-        assert len(certificate.inclusions) == 4
-        for text in certificate.inclusions:
-            assert "complement" in text
+    def test_normals_are_the_orbit_of_the_base(self, certificate):
+        assert certificate.normals == ((21, 26, 8), (3, -10, 8),
+                                       (8, 26, 21), (8, -10, 3))
+        check_normals(certificate, symmetric_square(M1),
+                      symmetric_square(M2))
+
+    def test_axis_rays_lie_in_their_half_spaces(self, certificate):
+        check_axis_rays(certificate, symmetric_square(M1),
+                        symmetric_square(M2))
+
+    @pytest.mark.parametrize("M1, M2, m", [
+        (((1, 4), (2, 7)), ((3, -4), (-1, 1)), 3),
+        (((7, 3), (-5, -2)), ((3, -5), (1, -2)), 2)])
+    def test_power_does_not_depend_on_a_starting_width(self, M1, M2, m):
+        g1, g2 = symmetric_square(M1), symmetric_square(M2)
+        cert = schottky_certify(g1, g2)
+        assert cert.m == m
+        check_certificate(cert, g1, g2)
+
+    def test_sheet_swapping_generator_is_its_negative(self, certificate):
+        g1, g2 = symmetric_square(M1), symmetric_square(M2)
+        minus = tuple(tuple(-x for x in row) for row in g1)
+        cert = schottky_certify(minus, g2)
+        assert cert.normals == certificate.normals
+        assert cert.words_checked == 1456
 
     def test_word_audit_covers_all_reduced_words(self, certificate):
         # 4 * (3^0 + ... + 3^5) reduced words of length at most 6
@@ -328,20 +423,18 @@ class TestSchottky:
         doc = json.loads(json.dumps(certificate.to_json_dict()))
         assert doc["check"] == "schottky"
         assert doc["m"] == 3
-        assert len(doc["boxes"]) == 4
+        assert doc["base"] == ["1", "1", "1"]
+        assert [n["label"] for n in doc["normals"]] == list(LABELS)
+        assert doc["normals"][0]["vector"] == ["21", "26", "8"]
         assert doc["word_audit"]["pass"] is True
 
-    def test_mixed_arc_shapes(self):
+    def test_rational_generator_fixing_zero_and_infinity(self):
         d = ((Fraction(4), 0, 0), (0, Fraction(1), 0),
              (0, 0, Fraction(1, 4)))
         cert = schottky_certify(d, symmetric_square(M1))
-        assert cert.m <= 20
-        # the boundary map of d fixes 0 and infinity: one band straddles 0
-        # and one arc passes through infinity
-        boxes_contain_arcs(cert)
-
-    def test_boxes_contain_their_arcs(self, certificate):
-        boxes_contain_arcs(certificate)
+        assert cert.m == 2
+        assert cert.normals[:2] == ((16, 0, -1), (-1, 0, 16))
+        check_certificate(cert, d, symmetric_square(M1))
 
     def test_same_generator_shares_endpoints(self):
         s = symmetric_square(M1)
