@@ -3,16 +3,13 @@ isometries.
 
 Hyperbolicity and translation length are certified through exact integer
 traces of matrix powers, valid for isometries of forms with one negative
-eigenvalue.  Axis extraction runs on the boundary circle of the
-binary-forms model (the 3-dimensional discriminant pairing), which has a
-rational parametrization: isometries act there by Moebius maps with
-integer entries.  Axis endpoints live in a real quadratic field and are
-returned exactly.  One closed-form rule names the attracting fixed point
-of a boundary map ((p, q), (r, s)): its eigenvalue (p + s +- sqrt(disc))/2
-takes the sign of the trace p + s, so it is the larger one in absolute
-value.  The Schottky certificate needs no boundary at all: one base point
-and four integer normals, the Dirichlet half-spaces of the powered
-generators, decide ping-pong by integer inequalities.
+eigenvalue.  In the 3-dimensional binary-forms model the trace also
+classifies: A has eigenvalues det A, nu and 1/nu, and is hyperbolic
+exactly when |tr A - det A| > 2.  Its axis is the plane orthogonal to the
+integer kernel of A - det A, and its rays are returned exactly in a real
+quadratic field.  The Schottky certificate needs no boundary at all: one
+base point and four integer normals, the Dirichlet half-spaces of the
+powered generators, decide ping-pong by integer inequalities.
 """
 
 from __future__ import annotations
@@ -21,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import (common_denominator, freeze, identity,
-                    mat_inverse, mat_mul, mat_vec, primitive_part, solve)
+from .exact import (common_denominator, determinant, freeze, identity,
+                    kernel_basis_int, mat_inverse, mat_mul, mat_vec,
+                    primitive_part, transpose)
 from .gram import GramForm
 from .intervals import Interval, log_interval
 
@@ -221,41 +219,13 @@ def _mat_pow(A, k):
 
 
 # ---------------------------------------------------------------------------
-# the boundary circle of the binary-forms model
-
-# light rays are squares of linear forms: (y^2, -2xy, x^2) for (x : y),
-# so the boundary is a projective line and isometries act by Moebius maps
+# the trace rule and the axis in the binary-forms model
 
 
 def _primitive(v):
     """The primitive integer vector on the ray of a nonzero rational v."""
     den = common_denominator(v)
     return primitive_part([x * den for x in v])
-
-
-def _proj(p, q):
-    a, b = _primitive((p, q))
-    return (-a, -b) if b < 0 or (b == 0 and a < 0) else (a, b)
-
-
-def _disc_ray(pt):
-    x, y = pt
-    return (y * y, -2 * x * y, x * x)
-
-
-def _disc_param(v):
-    a, b, c = v
-    if a != 0:
-        return _proj(-b, 2 * a)
-    if c != 0:
-        return _proj(2 * c, -b)
-    raise ValueError("not a light ray")
-
-
-def _apply_mobius(mu, pt):
-    (p, q), (r, s) = mu
-    x, y = pt
-    return _proj(p * x + q * y, r * x + s * y)
 
 
 def _require_disc_isometry(A):
@@ -270,54 +240,42 @@ def _require_disc_isometry(A):
             "the matrix does not preserve the binary discriminant form")
 
 
-def _mobius_of(A):
-    """Integer Moebius map realizing A on the parametrized light cone."""
-    probes = [(0, 1), (1, 1), (1, 0)]
-    images = [_disc_param(mat_vec(A, _disc_ray(t))) for t in probes]
-    w0, w1, winf = images
-    mat = ((Fraction(winf[0]), Fraction(w0[0])),
-           (Fraction(winf[1]), Fraction(w0[1])))
-    alpha, beta = solve(mat, (Fraction(w1[0]), Fraction(w1[1])))
-    raw = ((alpha * winf[0], beta * w0[0]), (alpha * winf[1], beta * w0[1]))
-    p, q, r, s = _primitive([x for row in raw for x in row])
-    mu = ((p, q), (r, s))
-    if p * s == q * r:
-        raise AssertionError("degenerate boundary action")
-    for t in [(2, 1), (-1, 1), (5, 3)]:
-        want = _disc_param(mat_vec(A, _disc_ray(t)))
-        if _apply_mobius(mu, t) != want:
-            raise AssertionError("boundary action mismatch")
-    return mu
+def _trace_rule(A):
+    """(t, det A) with t = tr A - det A; NotHyperbolic unless |t| > 2.
 
-
-def _fixed_point_data(mu):
-    """Fixed-point quadratic of mu, its discriminant, and the attracting sign.
-
-    The fixed points t of mu = ((p, q), (r, s)) are the roots of
-    rho t^2 + sigma t + kappa = r t^2 + (s - p) t - q.  For r != 0 the
-    root (-sigma + e*sqrt(disc))/(2r) has eigenvector (t, 1) with
-    eigenvalue (p + s + e*sqrt(disc))/2, so it attracts for e the sign of
-    the trace p + s.  For r = 0 the fixed points are infinity (eigenvalue
-    p) and -kappa/sigma (eigenvalue s), and e = 1 means infinity attracts.
-    Negating mu negates r, sigma and e together, so the attracting point
-    does not depend on the sign _mobius_of happens to return.
+    A^T G A = G makes A similar to A^-T, so its three eigenvalues, with
+    multiplicity, are closed under lam -> 1/lam.  So they are e, nu, 1/nu
+    with e = +-1: if some eigenvalue is not +-1, its inverse is another
+    and the third inverts to itself; if all are +-1, two are equal.  Then
+    det A = e and nu + 1/nu = t.  Conjugation permutes them as well, so nu
+    is real or |nu| = 1.  Hence |t| > 2 exactly when nu is real and
+    |nu| != 1, i.e. A has a dominant eigenvalue and is hyperbolic.  The
+    sheet and the orientation never enter, so the rule holds for -A and
+    for det -1 glide reflections (Ratcliffe, Foundations of Hyperbolic
+    Manifolds, section 4.7).
     """
-    (p, q), (r, s) = mu
-    rho, sigma, kappa = r, s - p, -q
-    if rho == 0 and sigma == 0 and kappa == 0:
-        raise NotHyperbolic("trivial boundary action")
-    disc = sigma * sigma - 4 * rho * kappa
-    if disc <= 0:
-        raise NotHyperbolic("no pair of real fixed rays")
-    if p + s == 0:
-        raise NotHyperbolic("boundary action is an involution")
-    if rho == 0:
-        return (rho, sigma, kappa), disc, 1 if abs(p) > abs(s) else -1
-    return (rho, sigma, kappa), disc, 1 if p + s > 0 else -1
+    det = determinant(A)
+    t = sum(A[i][i] for i in range(3)) - det
+    if abs(t) <= 2:
+        raise NotHyperbolic("not hyperbolic: |tr A - det A| <= 2")
+    return t, det
 
 
-# ---------------------------------------------------------------------------
-# axis extraction (exact, quadratic field)
+def _axis_normal(A):
+    """Primitive integer c spanning ker(A - det A) for a hyperbolic A.
+
+    For a nu-eigenvector v, (c, v) = (A c, A v) = det A * nu * (c, v) and
+    det A * nu != 1, so the axis of A is the plane orthogonal to c.  Two
+    such planes meet in the line orthogonal to span(c1, c2), a light ray
+    (a shared endpoint) exactly when that span is degenerate:
+    (c1, c2)^2 = (c1, c1)(c2, c2).
+    """
+    _, det = _trace_rule(A)
+    den = common_denominator(x for row in A for x in row)
+    (c,) = transpose(kernel_basis_int(tuple(
+        tuple(int(den * (x - (det if i == j else 0)))
+              for j, x in enumerate(row)) for i, row in enumerate(A))))
+    return c
 
 
 @dataclass(frozen=True)
@@ -330,48 +288,39 @@ class AxisRays:
     field_disc: int
 
 
+def _eigenray(A, lam):
+    """The light ray ker(A - lam) of a simple eigenvalue lam, scaled so
+    its first nonzero coordinate is 1.  A - lam has rank 2, so the cross
+    product of two independent rows spans the kernel."""
+    rows = [[QuadraticNumber.make(x) - (lam if i == j else 0)
+             for j, x in enumerate(row)] for i, row in enumerate(A)]
+    crosses = ((u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0]) for u, v in combinations(rows, 2))
+    ray = next(r for r in crosses if any(x.sign() for x in r))
+    lead = next(x for x in ray if x.sign())
+    ray = tuple(x / lead for x in ray)
+    assert (ray[1] * ray[1] - 4 * ray[0] * ray[2]).sign() == 0
+    image = mat_vec(A, ray)
+    assert all((y - lam * x).sign() == 0 for x, y in zip(ray, image))
+    return ray
+
+
 def translation_axis(g):
     """Exact axis endpoints of a hyperbolic isometry of the binary model.
 
-    The fixed points of the induced Moebius map are roots of an integer
-    quadratic, so the rays come out with coordinates in Q(sqrt(disc));
-    the trace sign of _fixed_point_data names the attracting one.  Both
-    rays are certified isotropic and certified eigenvectors, and the
-    attracting ray's eigenvalue is certified to exceed 1 in absolute value.
+    With t = tr A - det A (see _trace_rule) the dominant eigenvalue is
+    nu = (t + sgn(t) sqrt(t^2 - 4))/2 and the other light eigenvalue is
+    t - nu = 1/nu, so both rays have coordinates in Q(sqrt(t^2 - 4)).
+    Each ray is certified isotropic and an eigenvector of A.
     """
     A = _matrix_of(g)
     _require_disc_isometry(A)
-    (rho, sigma, kappa), disc, e = _fixed_point_data(_mobius_of(A))
-    one = QuadraticNumber.make(1)
-    if rho != 0:
-        points = [(QuadraticNumber.make(Fraction(-sigma, 2 * rho),
-                                        Fraction(sgn * e, 2 * rho), disc), one)
-                  for sgn in (1, -1)]
-    else:
-        points = [(one, QuadraticNumber.make(0)),
-                  (QuadraticNumber.make(Fraction(-kappa, sigma)), one)]
-        if e < 0:
-            points.reverse()
-    rays = []
-    for x, y in points:
-        ray = (y * y, -2 * x * y, x * x)
-        assert (ray[1] * ray[1] - 4 * ray[0] * ray[2]).sign() == 0
-        image = mat_vec(A, ray)
-        nz = next(i for i in range(3) if ray[i].sign() != 0)
-        nu = image[nz] / ray[nz]
-        assert all((image[i] - nu * ray[i]).sign() == 0 for i in range(3))
-        rays.append((ray, nu))
-    (att, nu), (rep, _) = rays
-    if not ((nu - 1).sign() > 0 or (nu + 1).sign() < 0):
-        raise AssertionError("attracting ray has no dominant eigenvalue")
-    return AxisRays(att, rep, nu, att[0].d or att[2].d)
-
-
-def _resultant(phi1, phi2):
-    a1, b1, c1 = phi1
-    a2, b2, c2 = phi2
-    return ((a1 * c2 - a2 * c1) ** 2
-            - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1))
+    t, _ = _trace_rule(A)
+    n, q = t.numerator, t.denominator
+    nu = QuadraticNumber.make(Fraction(n, 2 * q),
+                              Fraction(1 if t > 0 else -1, 2 * q),
+                              n * n - 4 * q * q)
+    return AxisRays(_eigenray(A, nu), _eigenray(A, t - nu), nu, nu.d)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +386,9 @@ def free_words_audit(a, b, max_len=6):
     while stack:
         last, cur, d, word = stack.pop()
         checked += 1
-        if cur == identity(len(cur), d):
+        # is cur = d*I?  Almost every word already fails at the corner
+        if cur[0][0] == d and all(x == (d if i == j else 0) for i, row in
+                                  enumerate(cur) for j, x in enumerate(row)):
             return checked, False, word
         if len(word) < max_len:
             for nxt in range(4):
@@ -475,11 +426,10 @@ def schottky_certify(g1, g2, m_max=20):
     A1, A2 = _matrix_of(g1), _matrix_of(g2)
     _require_disc_isometry(A1)
     _require_disc_isometry(A2)
-    phi1, _, _ = _fixed_point_data(_mobius_of(A1))
-    phi2, _, _ = _fixed_point_data(_mobius_of(A2))
-    if _resultant(phi1, phi2) == 0:
-        raise SharedEndpoint("the axes share a boundary ray")
+    c1, c2 = _axis_normal(A1), _axis_normal(A2)
     f = binary_disc_form()
+    if f.inner(c1, c2) ** 2 == f.value(c1) * f.value(c2):
+        raise SharedEndpoint("the axes share a boundary ray")
     steps = []
     for A in (A1, A2):
         if f.inner(_BASE, mat_vec(A, _BASE)) > 0:

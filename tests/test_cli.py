@@ -41,6 +41,7 @@ def forms(tmp_path_factory):
         paths[name] = str(p)
     for name, mat in [("g1", [[2, 1], [1, 1]]), ("g2", [[1, 1], [1, 2]]),
                       ("g3", [[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
+                      ("grot", [[0, -1], [1, 0]]),
                       ("g29", [[2.9, 1], [1, 1]]),
                       ("ginf", [[float("inf"), 1], [1, 1]]),
                       ("gstr", [["2", 1], [1, 1]]),
@@ -284,6 +285,13 @@ def test_checked_failure_exits_1(forms, capsys):
                        "--g2", forms["g1"])
     assert code == 1
     assert "no certificate" in out
+
+
+def test_elliptic_generator_exits_1_with_the_trace_rule(forms, capsys):
+    code, out, _ = run(capsys, "pingpong", "--g1", forms["grot"],
+                       "--g2", forms["g2"])
+    assert code == 1
+    assert out == "no certificate: not hyperbolic: |tr A - det A| <= 2\n"
 
 
 def test_missing_file_exits_2(forms, capsys):

@@ -196,6 +196,12 @@ class TestTranslationAxis:
         assert all((r[i] * w[j] - r[j] * w[i]).sign() == 0
                    for i in range(3) for j in range(3))
 
+    def test_irrational_middle_coordinate_names_the_field(self):
+        # the rays' outer coordinates are rational, the middle one is not
+        ax = translation_axis(symmetric_square(((3, 4), (2, 3))))
+        assert ax.field_disc == 2
+        assert (ax.eigenvalue - QuadraticNumber.make(17, 12, 2)).sign() == 0
+
     def test_rational_fixed_points(self):
         d = ((Fraction(4), 0, 0), (0, Fraction(1), 0),
              (0, 0, Fraction(1, 4)))
@@ -246,7 +252,8 @@ def scaled_square(M):
 
 # det +-1 with trace 0 is an involution and det 1 with |trace| <= 2 is not
 # hyperbolic; integral triangular unimodular matrices never are, so the
-# triangular cases (r = 0 for the boundary map) come from scaled squares
+# triangular cases (an axis ray on the coordinate line (1, 0, 0) or
+# (0, 0, 1)) come from scaled squares
 HYPERBOLIC_UNIMODULAR = [
     ((p, q), (r, s)) for p, q, r, s in product(range(-6, 7), repeat=4)
     if (p * s - q * r == 1 and abs(p + s) > 2)
@@ -336,6 +343,77 @@ def test_axis_rays_lie_in_the_labelled_half_spaces(g1, g2):
     cert = certified(g1, g2)
     if cert is not None:
         check_certificate(cert, g1, g2)
+
+
+def mul2(a, b):
+    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1))
+                 for i in (0, 1))
+
+
+def inv2(M):
+    (p, q), (r, s) = M
+    d = p * s - q * r
+    return ((d * s, -d * q), (-d * r, d * p))
+
+
+def hyperbolic2(M):
+    """The 2x2 rule: det 1 with |trace| > 2, or det -1 with trace != 0."""
+    (p, q), (r, s) = M
+    return abs(p + s) > 2 if p * s - q * r == 1 else p + s != 0
+
+
+def fixed_point_resultant(M1, M2):
+    """Resultant of the fixed-point quadratics r t^2 + (s - p) t - q; it
+    vanishes exactly when the two maps share a fixed point."""
+    (a1, b1, c1), (a2, b2, c2) = ((r, s - p, -q) for (p, q), (r, s) in
+                                  (M1, M2))
+    return ((a1 * c2 - a2 * c1) ** 2
+            - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1))
+
+
+def squarefree_part(n):
+    k = 2
+    while k * k <= n:
+        while n % (k * k) == 0:
+            n //= k * k
+        k += 1
+    return n
+
+
+GL2_6 = [((p, q), (r, s)) for p, q, r, s in product(range(-6, 7), repeat=4)
+         if p * s - q * r in (1, -1)]
+
+
+@st.composite
+def gl2_pairs(draw):
+    """GL2(Z) pairs with entries -6..6; a third of the second generators
+    are the square, cube or inverse of the first."""
+    M1 = draw(st.sampled_from(GL2_6))
+    square = mul2(M1, M1)
+    M2 = draw(st.sampled_from([None] * 6 + [square, mul2(square, M1),
+                                            inv2(M1)]))
+    return M1, M2 or draw(st.sampled_from(GL2_6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gl2_pairs())
+def test_trace_rule_and_shared_endpoints_match_the_2x2_oracle(pair):
+    M1, M2 = pair
+    try:
+        schottky_certify(symmetric_square(M1), symmetric_square(M2), m_max=4)
+        raised = None
+    except (NotHyperbolic, SharedEndpoint, SearchExhausted) as err:
+        raised = type(err)
+    if not (hyperbolic2(M1) and hyperbolic2(M2)):
+        assert raised is NotHyperbolic
+    elif fixed_point_resultant(M1, M2) == 0:
+        assert raised is SharedEndpoint
+    else:
+        assert raised in (None, SearchExhausted)
+    for M in filter(hyperbolic2, pair):
+        (p, q), (r, s) = M
+        assert translation_axis(symmetric_square(M)).field_disc == \
+            squarefree_part((p + s) ** 2 - 4 * (p * s - q * r))
 
 
 @st.composite
