@@ -10,13 +10,15 @@ a `qf` process loads only the modules its subcommand runs.
 
 Exit code 1 means exactly that the document says "pass": false (a bound
 or certificate that did not hold).  Every input error is a ValueError and
-gives exit 2 with one `qf: ...` line on stderr.  Anything else is exit 0.
+gives exit 2 with one `qf: ...` line on stderr.  Anything else is exit 0,
+also when the reader of stdout closes the pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -271,10 +273,12 @@ def _cmd_pingpong(args):
 
 
 def _cmd_autord(args):
-    from .enumeration import automorphism_order
+    from .enumeration import automorphism_search
     form = _form(args.form)
-    order = automorphism_order(form, dim_limit=args.dim_limit)
-    return {"form_hash": form.form_hash, "order": order}, [str(order)]
+    search = automorphism_search(form, dim_limit=args.dim_limit)
+    return ({"form_hash": form.form_hash, "order": search.order,
+             "levels": list(search.levels), "nodes": search.nodes},
+            [str(search.order)])
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +400,13 @@ def main(argv=None):
     except ValueError as err:
         print(f"qf: {err}", file=sys.stderr)
         return 2
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: the flush at interpreter exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if document.get("pass") is False else 0
 
 

@@ -13,7 +13,7 @@ integer, so no vector is missed and none is counted twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
 
 from .errors import BudgetExceeded
@@ -170,84 +170,107 @@ def represents(G, m):
     return _walk(G.matrix, m, lambda x, norm: norm == m)
 
 
-def automorphism_order(G, *, dim_limit=8):
-    """Order of the integral automorphism group {T : T^t G T = G}.
+@dataclass(frozen=True)
+class AutomorphismSearch:
+    """|O(L)|, the image count at each level and the search nodes visited."""
+
+    order: int
+    levels: tuple
+    nodes: int
+
+
+def automorphism_search(G, *, dim_limit=8):
+    """|O(L)| = #{T : T^t G T = G}, with its level counts and nodes.
 
     Counted level by level: the group order is the product over k of the
     number of images of the k-th basis vector that are compatible with
     fixing the first k-1 basis vectors and extend to a full automorphism.
     (All extendable prefixes of a given length have equally many
-    completions, so the product telescopes to the group order.)
+    completions, so the product telescopes to the group order, in any
+    basis order.)  The basis is taken in order of increasing norm, by a
+    stable sort, so `levels` follow that order.  Candidates are bitsets
+    over the pool of vectors whose norm is a diagonal entry; a vector's
+    masks are built from the +-half when it first enters a prefix that
+    is extended, so vectors of a norm that is the largest diagonal entry
+    exactly once never need any.
     """
-    G = _as_form(G)
+    return _search(_as_form(G), dim_limit)
+
+
+def automorphism_order(G, *, dim_limit=8):
+    """|O(L)|; it runs the search itself, not through automorphism_search,
+    so that a per-function profile charges the search to the caller."""
+    return _search(_as_form(G), dim_limit).order
+
+
+def _search(G, dim_limit):
     n = G.n
     if n > dim_limit:
         raise DimensionLimit(f"dimension {n} exceeds the limit {dim_limit}")
-    gram = G.matrix
-    bound = max(gram[i][i] for i in range(n))
-    diag_norms = {gram[t][t] for t in range(n)}
-    half = [pair for pair in _canonical(_vectors_up_to(gram, bound))
-            if pair[1] in diag_norms]
-    # the negatives follow the +-half: pool[a + len(half)] = -pool[a]
-    pool = [v for v, _ in half] + [tuple(-x for x in v) for v, _ in half]
-    by_norm = {}
-    for a, (_, norm) in enumerate(half * 2):
-        by_norm.setdefault(norm, []).append(a)
-    gv = [mat_vec(gram, v) for v in pool]
-    # pairwise inner products, so constraints inside the search are O(1);
-    # (-v, w) = -(v, w) fills three quarters of the table from the first
-    table = [[sum(map(mul, g, v)) for v, _ in half] for g in gv[:len(half)]]
-    table = [row + [-x for x in row] for row in table]
-    table += [[-x for x in row] for row in table]
-    buckets = {norm: tuple(ids) for norm, ids in by_norm.items()}
+    perm = sorted(range(n), key=lambda i: G.matrix[i][i])
+    gram = tuple(tuple(G.matrix[i][j] for j in perm) for i in perm)
+    norms = {gram[t][t] for t in range(n)}
+    half = [pair for pair in _canonical(_vectors_up_to(gram, gram[-1][-1]))
+            if pair[1] in norms]
+    H, vecs = len(half), [v for v, _ in half]
+    # the negatives follow the +-half: pool[a + H] = -pool[a]
+    pool = vecs + [tuple(-x for x in v) for v in vecs]
+    values = {s * gram[t][u] for s in (1, -1) for t in range(n)
+              for u in range(t)}
+    bucket = dict.fromkeys(norms, 0)
+    for w, (_, norm) in enumerate(half):
+        bucket[norm] |= 1 << w | 1 << w + H
+    masks, nodes = [None] * (2 * H), 0
 
-    def complete(prefix, fixed):
-        """Extend images of basis vectors `fixed`.. (pool indices).
+    def build(a):
+        """Masks of pool[a] from the +-half; -pool[a] swaps c and -c."""
+        b = a % H
+        g, half_masks = mat_vec(gram, vecs[b]), dict.fromkeys(values, 0)
+        for w, v in enumerate(vecs):
+            p = sum(map(mul, g, v))
+            if p in half_masks:
+                half_masks[p] |= 1 << w
+        masks[b] = {c: m | half_masks[-c] << H for c, m in half_masks.items()}
+        masks[b + H] = {c: masks[b][-c] for c in values}
+        return masks[a]
 
-        The first `fixed` basis vectors are fixed pointwise and are not
-        carried in `prefix`.
-        """
-        t = fixed + len(prefix)
-        if t == n:
+    def candidates(prefix):
+        """Images of e_t, t = len(prefix), that fit `prefix`, low bit up."""
+        row = gram[len(prefix)]
+        cand = bucket[row[len(prefix)]]
+        for s, a in enumerate(prefix):
+            cand &= (masks[a] or build(a))[row[s]]
+        while cand:
+            low = cand & -cand
+            yield low.bit_length() - 1
+            cand ^= low
+
+    def complete(prefix):
+        """The first extension of `prefix` to the whole basis, or None."""
+        nonlocal nodes
+        nodes += 1
+        if len(prefix) == n:
             return prefix
-        for w in buckets.get(gram[t][t], ()):
-            ok = True
-            for s in range(fixed):
-                if gv[w][s] != gram[t][s]:
-                    ok = False
-                    break
-            if ok:
-                for s in range(fixed, t):
-                    if table[w][prefix[s - fixed]] != gram[t][s]:
-                        ok = False
-                        break
-            if ok:
-                res = complete(prefix + [w], fixed)
-                if res is not None:
-                    return res
+        for w in candidates(prefix):
+            if (res := complete(prefix + [w])) is not None:
+                return res
         return None
 
-    order = 1
-    witnesses = []
+    fixed = [pool.index(e) for e in identity(n)]
+    levels, witnesses = [], []
     for k in range(n):
-        level = 0
-        for w in buckets.get(gram[k][k], ()):
-            if any(gv[w][s] != gram[k][s] for s in range(k)):
-                continue
-            found = complete([w], k)
-            if found is not None:
-                level += 1
-                if len(witnesses) < 32:
-                    witnesses.append((k, found))
-        if level == 0:
+        found = [res for w in candidates(fixed[:k])
+                 if (res := complete(fixed[:k] + [w])) is not None]
+        if not found:
             raise AssertionError("identity not found in automorphism search")
-        order *= level
+        levels.append(len(found))
+        witnesses += found[:32 - len(witnesses)]
     # the found extensions really are automorphisms of the form
-    for k, tail in witnesses:
-        cols = identity(n)[:k] + tuple(pool[w] for w in tail)  # rows of T^t
+    for found in witnesses:
+        cols = tuple(pool[w] for w in found)  # rows of T^t
         if mat_mul(cols, mat_mul(gram, transpose(cols))) != gram:
             raise AssertionError("witness fails T^t G T = G")
-    return order
+    return AutomorphismSearch(prod(levels), tuple(levels), nodes)
 
 
 def orthogonal_decompose(G, *, budget=DECOMPOSE_BUDGET):

@@ -3,7 +3,7 @@
 Matrices are immutable tuples of row tuples and vectors are plain tuples.
 Entries are Python ints or fractions.Fraction, so nothing here ever rounds.
 The module supplies the kernel every higher layer leans on: one forward
-Gaussian elimination (determinants, rank, inverses, solves and span
+Gaussian elimination (determinants, rank, inverses and span
 coordinates), one symmetric congruence elimination (signatures and the
 LDL-style rational Cholesky split used by the vector enumerator), and one
 integer reduction, the canonical row Hermite form, from which come the
@@ -194,14 +194,6 @@ def span_coordinates(a: Matrix, b: Sequence):
         return None
     _back_substitute(rows, pivots)
     return tuple(row[cols] for row in rows[:cols])
-
-
-def solve(a: Matrix, b: Sequence) -> tuple:
-    """Solve a x = b exactly over the rationals (a square nonsingular)."""
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("solve with a non-square matrix")
-    return span_coordinates(a, b)
 
 
 # ---------------------------------------------------------------------------

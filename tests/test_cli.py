@@ -242,6 +242,23 @@ def test_lattice_subcommands_finish_on_large_entries(tmp_path, name, gram,
     assert run.stdout.splitlines()[-1] == last_line
 
 
+def test_closed_pipe_is_not_an_error():
+    # 6720 vectors of norm 6 fill more than a 64 KiB pipe buffer, so the
+    # writer meets the closed pipe whatever the timing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "qflat.cli", "enumerate",
+                             "--form", str(DEMOS / "e8.qf"), "--norm", "6"],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.readline().split()) == 8
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
+
+
 def test_root_subcommands(forms, capsys):
     code, out, _ = run(capsys, "reflect", "--form", forms["u22"],
                        "--root", "0,0,1", "--vector", "1,2,3")

@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +13,7 @@ from qflat.enumeration import (
     DimensionLimit,
     NotPositiveDefinite,
     automorphism_order,
+    automorphism_search,
     fingerprint,
     orthogonal_decompose,
     representation_count,
@@ -276,6 +277,63 @@ def test_automorphism_dimension_limit():
     with pytest.raises(DimensionLimit):
         automorphism_order(G)
     assert automorphism_order(G, dim_limit=9) == 2 ** 9 * factorial(9)
+
+
+# E8 with b0 replaced by b0 + b1: diagonal (4, 2, ..., 2), so the candidate
+# pool holds the 2160 norm-4 vectors too
+LIFTED_E8 = GramForm((
+    (4, 2, -1, -1, 0, 0, 0, 0),
+    (2, 2, 0, -1, 0, 0, 0, 0),
+    (-1, 0, 2, -1, 0, 0, 0, 0),
+    (-1, -1, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, 0),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, -1),
+    (0, 0, 0, 0, 0, 0, -1, 2),
+))
+
+
+D4 = GramForm(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+
+
+@pytest.mark.parametrize("G, order", [
+    (e8_form(), 696729600), (LIFTED_E8, 696729600), (D4, 1152), (A2, 12),
+    (identity_form(5), 2 ** 5 * factorial(5)),
+], ids=["E8", "E8-lifted", "D4", "A2", "Z5"])
+def test_automorphism_levels_multiply_to_the_order(G, order):
+    search = automorphism_search(G)
+    assert search.order == order
+    assert len(search.levels) == G.n
+    assert prod(search.levels) == order
+    assert search.nodes >= sum(search.levels)
+
+
+@st.composite
+def signed_permutations(draw):
+    """A definite form of dimension up to 5 with diagonal entries drawn
+    from at most two norms, so the sort by norm meets ties, and a signed
+    permutation of its basis."""
+    n = draw(st.integers(1, 5))
+    norms = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(st.sampled_from(norms))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+    assume(all(determinant([row[:k] for row in g[:k]]) > 0
+               for k in range(1, n + 1)))
+    p = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    H = tuple(tuple(signs[i] * signs[j] * g[p[i]][p[j]] for j in range(n))
+              for i in range(n))
+    return GramForm(tuple(map(tuple, g))), GramForm(H)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signed_permutations())
+def test_automorphism_order_survives_signed_permutations(pair):
+    G, H = pair
+    assert automorphism_order(H) == automorphism_order(G)
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_inverse_and_solve():
     a = exact.freeze([[2, 1], [1, 2]])
     inv = exact.mat_inverse(a)
     assert exact.mat_mul(a, inv) == exact.identity(2, Fraction(1))
-    x = exact.solve(a, (1, 0))
+    x = exact.span_coordinates(a, (1, 0))
     assert x == (Fraction(2, 3), Fraction(-1, 3))
     with pytest.raises(exact.SingularMatrix):
         exact.mat_inverse(exact.freeze([[1, 2], [2, 4]]))

@@ -1,7 +1,7 @@
 """Property tests for the shared exact kernels, with sympy as the oracle.
 
-One forward elimination serves determinant, rank, inverse, solve and
-lattice coordinates; one symmetric congruence elimination serves the
+One forward elimination serves determinant, rank, inverse and span
+(lattice) coordinates; one symmetric congruence elimination serves the
 signature and the rational Cholesky split; one Fincke-Pohst walk serves
 counting and the represents-m predicate; trial division finds the
 square primes that saturation needs.  Matrices are drawn integer and
@@ -103,7 +103,8 @@ def test_inverse_and_solve_match_sympy(a, b):
     n = len(a)
     b = b[:n]
     if _sym(a).det() == 0:
-        for call in (lambda: exact.mat_inverse(a), lambda: exact.solve(a, b)):
+        for call in (lambda: exact.mat_inverse(a),
+                     lambda: exact.span_coordinates(a, b)):
             try:
                 call()
             except exact.SingularMatrix:
@@ -114,7 +115,7 @@ def test_inverse_and_solve_match_sympy(a, b):
     assert exact.mat_inverse(a) == tuple(
         tuple(_frac(inv[i, j]) for j in range(n)) for i in range(n))
     x = inv * _sym([b]).T
-    assert exact.solve(a, b) == tuple(_frac(x[i]) for i in range(n))
+    assert exact.span_coordinates(a, b) == tuple(_frac(x[i]) for i in range(n))
 
 
 @SETTINGS
