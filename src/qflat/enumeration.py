@@ -18,7 +18,7 @@ from operator import mul
 
 from .errors import BudgetExceeded
 from .exact import (
-    NotPositiveDefinite,  # noqa: F401  (part of this module's surface)
+    NotPositiveDefinite,
     column_hermite_form,
     common_denominator,
     determinant,
@@ -210,8 +210,12 @@ def _search(G, dim_limit):
     perm = sorted(range(n), key=lambda i: G.matrix[i][i])
     gram = tuple(tuple(G.matrix[i][j] for j in perm) for i in perm)
     norms = {gram[t][t] for t in range(n)}
-    half = [pair for pair in _canonical(_vectors_up_to(gram, gram[-1][-1]))
-            if pair[1] in norms]
+    try:
+        pairs = _vectors_up_to(gram, gram[-1][-1])
+    except NotPositiveDefinite:
+        rational_cholesky(G.matrix)  # names the pivot in the input basis
+        raise
+    half = [pair for pair in _canonical(pairs) if pair[1] in norms]
     H, vecs = len(half), [v for v, _ in half]
     # the negatives follow the +-half: pool[a + H] = -pool[a]
     pool = vecs + [tuple(-x for x in v) for v in vecs]

@@ -3,18 +3,20 @@
 Matrices are immutable tuples of row tuples and vectors are plain tuples.
 Entries are Python ints or fractions.Fraction, so nothing here ever rounds.
 The module supplies the kernel every higher layer leans on: one forward
-Gaussian elimination (determinants, rank, inverses and span
-coordinates), one symmetric congruence elimination (signatures and the
-LDL-style rational Cholesky split used by the vector enumerator), and one
-integer reduction, the canonical row Hermite form, from which come the
-Hermite bases of lattice spans, the Smith invariant factors and
-saturated integral kernels.
+Gaussian elimination (determinants, rank, inverses and span coordinates)
+and its pivot-free symmetric form (the enumerator's rational Cholesky
+split), one symmetric congruence split (signatures over Q and the p-adic
+pieces behind local densities and Jordan forms), and one integer
+reduction, the canonical row Hermite form, from which come the Hermite
+bases of lattice spans, the Smith invariant factors and saturated
+integral kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 
@@ -23,7 +25,8 @@ class NotPositiveDefinite(ValueError):
 
 
 class SingularMatrix(ValueError):
-    """An exact solve or inverse met a singular matrix."""
+    """An exact solve or inverse met a singular matrix, or a symmetric
+    congruence split met a degenerate form."""
 
 
 Matrix = tuple
@@ -51,15 +54,15 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_symmetric(a: Matrix) -> bool:
@@ -68,9 +71,12 @@ def is_symmetric(a: Matrix) -> bool:
 
 
 def content(v: Sequence[int]) -> int:
-    """gcd of the entries, 0 for the zero vector."""
+    """gcd of the entries, 0 for the zero vector. Entries may be ints or
+    integral Fractions; any other entry raises ValueError."""
     g = 0
     for x in v:
+        if x != int(x):
+            raise ValueError("content of a vector with non-integral entries")
         g = gcd(g, int(x))
     return g
 
@@ -287,71 +293,110 @@ def kernel_basis_int(a: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Rational Cholesky (LDL-style) split
+# Symmetric congruence: the valuation split and the rational Cholesky split
 # ---------------------------------------------------------------------------
 
 
-def congruence_diagonal(g: Matrix) -> tuple[tuple, Matrix, int | None]:
-    """Diagonalize a symmetric matrix by congruence, pivoting in index order.
+def valuation(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
-    Returns (d, u, first_repair). While no pivot has been zero,
-    g = u^T diag(d) u with u unit upper triangular. A zero pivot at index
-    i is repaired by exchanging i with the first later index whose
-    diagonal entry is nonzero or, failing that, by e_i += e_j for the
-    first later j with g_ij != 0 (which makes the pivot 2 g_ij); then d
-    still carries the inertia of g but u no longer splits it, and
-    first_repair is the first such i. A zero pivot with no partner is in
-    the radical and stays 0 in d.
+
+def congruence_split(gram: Matrix, p: int | None = None):
+    """Split a nondegenerate symmetric matrix by congruence, one pivot at a
+    time, over Z_p for a prime p or over Q for p None.
+
+    Each step pivots on a live entry of least p-adic valuation v,
+    preferring the first diagonal entry of valuation v.  When only an
+    off-diagonal entry (i, j) reaches v, odd p folds e_j into e_i, which
+    surfaces a diagonal pivot of valuation exactly v (2 is a unit), and
+    p = 2 takes the 2x2 block on (i, j), whose determinant has valuation
+    exactly 2v.  Over Q every nonzero entry has valuation 0 and 2 is a
+    unit, so the same rule diagonalizes: the first nonzero diagonal
+    entry, else a fold of the first nonzero off-diagonal pair.  The
+    remaining basis vectors are projected off the pivot block in exact
+    Fractions; every coefficient is p-integral, so the transformation is
+    invertible over Z/p^k and keeps solution counts.  A live block that
+    is all zero raises SingularMatrix.
+
+    Yields (v, i, block, basis) per step: the pivot index i, the Gram
+    matrix of the piece split off (1x1, or 2x2 at p = 2) and its basis
+    vectors in input coordinates, p-integral Fractions, so that
+    basis^t G basis = block exactly.  The bases of all steps together form
+    a basis of Z_p^n (of Q^n for p None).
     """
-    n, m = shape(g)
-    if n != m or not is_symmetric(g):
-        raise ValueError("expected a symmetric square matrix")
-    w = [[Fraction(x) for x in row] for row in g]
-    u = [list(row) for row in identity(n, Fraction(1))]
-    d = []
-    first_repair = None
-    for i in range(n):
-        if not w[i][i]:
-            j = next((j for j in range(i + 1, n) if w[j][j]), None)
-            if j is not None:
-                w[i], w[j] = w[j], w[i]
-                for row in w:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((j for j in range(i + 1, n) if w[i][j]), None)
-                if j is not None:
-                    for t in range(i, n):
-                        w[i][t] += w[j][t]
-                    for t in range(i, n):
-                        w[t][i] += w[t][j]
-            if first_repair is None:
-                first_repair = i
-        piv = w[i][i]
-        d.append(piv)
-        if not piv:
-            continue
-        wi = w[i]
-        nz = [k for k in range(i + 1, n) if wi[k]]
-        for a, j in enumerate(nz):
-            c = u[i][j] = wi[j] / piv
-            wj = w[j]
-            for k in nz[a:]:
-                wj[k] -= c * wi[k]
-                w[k][j] = wj[k]
-    return tuple(d), freeze(u), first_repair
+    n = len(gram)
+    work = [[Fraction(x) for x in row] for row in gram]
+    cols = [[Fraction(int(s == t)) for s in range(n)] for t in range(n)]
+    live = list(range(n))
+
+    def val(q):
+        if p is None:
+            return 0
+        return valuation(q.numerator, p) - valuation(q.denominator, p)
+
+    while live:
+        # least valuation, then diagonal before off-diagonal, then index
+        best = min(((val(work[i][j]), i != j, i, j) for a, i in enumerate(live)
+                    for j in live[a:] if work[i][j]), default=None)
+        if best is None:
+            raise SingularMatrix(
+                f"form is degenerate over {'Q' if p is None else 'Z_p'}")
+        v, off, i, j = best
+        if off and p != 2:
+            for t in live:
+                work[t][i] += work[t][j]
+            for t in live:
+                work[i][t] += work[j][t]
+            cols[i] = [a + b for a, b in zip(cols[i], cols[j])]
+            assert val(work[i][i]) == v
+        pivot = (i, j) if off and p == 2 else (i,)
+        block = tuple(tuple(work[a][b] for b in pivot) for a in pivot)
+        inv = ((1 / block[0][0],),) if len(pivot) == 1 else mat_inverse(block)
+        live = [t for t in live if t not in pivot]
+        coeff = {t: mat_vec(inv, [work[q][t] for q in pivot]) for t in live}
+        for a, s in enumerate(live):
+            ws = [work[q][s] for q in pivot]
+            for t in live[a:]:
+                new = work[s][t]
+                for c, w in zip(coeff[t], ws):
+                    if c:
+                        new -= c * w
+                work[s][t] = work[t][s] = new
+        for t in live:
+            for c, q in zip(coeff[t], pivot):
+                if c:
+                    cols[t] = [x - c * y for x, y in zip(cols[t], cols[q])]
+        yield v, i, block, tuple(tuple(cols[q]) for q in pivot)
 
 
 def rational_cholesky(g: Matrix) -> tuple[tuple, Matrix]:
     """Split a symmetric positive definite matrix as g = u^T diag(d) u.
 
-    u is unit upper triangular and every entry is an exact Fraction. The
-    split underlies the enumerator's coordinate-by-coordinate bounds. The
-    first nonpositive pivot aborts with NotPositiveDefinite.
+    A plain LDL in index order: u is unit upper triangular and every
+    entry is an exact Fraction. The split underlies the enumerator's
+    coordinate-by-coordinate bounds. The first nonpositive pivot aborts
+    with NotPositiveDefinite.
     """
-    d, u, repair = congruence_diagonal(g)
-    bad = next((i for i, p in enumerate(d[:repair]) if p < 0), repair)
-    if bad is not None:
-        piv = 0 if bad == repair else d[bad]
-        raise NotPositiveDefinite(
-            f"form is not positive definite (pivot {piv} at index {bad})")
-    return d, u
+    if not is_symmetric(g):
+        raise ValueError("expected a symmetric square matrix")
+    w = [[Fraction(x) for x in row] for row in g]
+    d, u = [], []
+    for i, wi in enumerate(w):
+        piv = wi[i]
+        if piv <= 0:
+            raise NotPositiveDefinite(
+                f"form is not positive definite (pivot {piv} at index {i})")
+        ui = [Fraction(0)] * i + [x / piv for x in wi[i:]]
+        nz = [k for k in range(i + 1, len(wi)) if wi[k]]
+        for a, j in enumerate(nz):
+            wj = w[j]
+            for k in nz[a:]:
+                wj[k] -= ui[j] * wi[k]
+        d.append(piv)
+        u.append(tuple(ui))
+    return tuple(d), tuple(u)

@@ -58,13 +58,14 @@ class GramForm:
 
     @cached_property
     def signature(self) -> tuple[int, int]:
-        """(positive, negative) inertia indices, computed exactly."""
-        d, _, _ = exact.congruence_diagonal(self.matrix)
-        pos = sum(1 for x in d if x > 0)
-        neg = sum(1 for x in d if x < 0)
-        if pos + neg != self.n:
-            raise SingularFormError("form is degenerate")
-        return (pos, neg)
+        """(positive, negative) inertia indices, computed exactly: the
+        signs of the 1x1 blocks of the congruence split over Q."""
+        try:
+            pos = sum(block[0][0] > 0 for _, _, block, _
+                      in exact.congruence_split(self.matrix))
+        except exact.SingularMatrix:
+            raise SingularFormError("form is degenerate") from None
+        return (pos, self.n - pos)
 
     @cached_property
     def is_even(self) -> bool:

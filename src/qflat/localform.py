@@ -11,8 +11,9 @@ with the archimedean density (`infinity_density`), the sphere-volume
 constants (`omega_interval`), interval zeta values (`zeta_interval`), and
 the structure results used to organize p-adic computations:
 `jordan_decompose_odd` for odd primes and `two_adic_split` at p = 2.
-All three p-adic results rest on one valuation sweep (`_valuation_sweep`),
-which splits a form over Z_p into pieces of rank <= 2 and their bases:
+All three p-adic results rest on one valuation sweep,
+`exact.congruence_split(gram, p)`, which splits a form over Z_p into
+pieces of rank <= 2 and their bases:
 densities reduce over the pieces level by level, the odd-p Jordan form
 sorts them, and the 2-adic split recombines them into hyperbolic-type
 blocks and an anisotropic remainder.
@@ -32,7 +33,8 @@ from math import factorial, prod
 from operator import itemgetter
 
 from .errors import BudgetExceeded
-from .exact import determinant, dot, identity, mat_mul, mat_vec, transpose
+from .exact import (congruence_split, determinant, dot, identity, mat_mul,
+                    mat_vec, transpose, valuation)
 from .gram import GramForm, orthogonal_sum
 from .intervals import (
     Interval,
@@ -101,15 +103,6 @@ def _legendre(a, p):
     return 1 if r == 1 else -1
 
 
-def _vp(n, p):
-    """p-adic valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 # ---------------------------------------------------------------------------
 # backend: definitional counting
 
@@ -173,7 +166,7 @@ def _unit_count_mod1(nu, det_unit, p, m):
 
 
 # ---------------------------------------------------------------------------
-# the valuation sweep, and the reduction over its pieces
+# the reduction over the valuation sweep's pieces
 
 
 def _frac_mod(q, p, mod):
@@ -189,85 +182,12 @@ def _reduce(a, mod):
     return tuple(tuple(x % mod for x in row) for row in a)
 
 
-def _valuation_sweep(gram, p):
-    """Split a nondegenerate symmetric matrix over Z_p, one pivot at a time.
-
-    Each step pivots on a live entry of least p-adic valuation v,
-    preferring the first diagonal entry of valuation v.  When only an
-    off-diagonal entry (i, j) reaches v, odd p folds e_j into e_i, which
-    surfaces a diagonal pivot of valuation exactly v (2 is a unit), and
-    p = 2 takes the 2x2 block on (i, j), whose determinant has valuation
-    exactly 2v.  The remaining basis vectors are projected off the pivot
-    block in exact Fractions; every coefficient is p-integral, so the
-    transformation is invertible over Z/p^k and keeps solution counts.
-
-    Yields (v, i, block, basis) per step: the pivot index i, the Gram
-    matrix of the piece split off (1x1, or 2x2 at p = 2) and its basis
-    vectors in input coordinates, p-integral Fractions, so that
-    basis^t G basis = block exactly.  The bases of all steps together form
-    a basis of Z_p^n.
-    """
-    n = len(gram)
-    work = [[Fraction(x) for x in row] for row in gram]
-    cols = [[Fraction(int(s == t)) for s in range(n)] for t in range(n)]
-    live = list(range(n))
-
-    def val(q):
-        return _vp(q.numerator, p) - _vp(q.denominator, p)
-
-    while live:
-        best = None
-        for a, i in enumerate(live):
-            for j in live[a:]:
-                if work[i][j] and (best is None or val(work[i][j]) < best[0]):
-                    best = (val(work[i][j]), i, j)
-        if best is None:
-            raise ValueError("form is degenerate over Z_p")
-        v, i, j = best
-        diag = next((t for t in live
-                     if work[t][t] and val(work[t][t]) == v), None)
-        if diag is not None:
-            i, j = diag, None
-        elif p != 2:
-            for t in live:
-                work[t][i] += work[t][j]
-            for t in live:
-                work[i][t] += work[j][t]
-            cols[i] = [a + b for a, b in zip(cols[i], cols[j])]
-            assert val(work[i][i]) == v
-        pivot = (i,) if j is None or p != 2 else (i, j)
-        block = tuple(tuple(work[a][b] for b in pivot) for a in pivot)
-        if len(pivot) == 1:
-            inv = ((1 / block[0][0],),)
-        else:
-            (a, b), (_, c) = block
-            det = a * c - b * b
-            inv = ((c / det, -b / det), (-b / det, a / det))
-        live = [t for t in live if t not in pivot]
-        coeff = {t: tuple(sum(r[k] * work[q][t] for k, q in enumerate(pivot))
-                          for r in inv)
-                 for t in live}
-        for a, s in enumerate(live):
-            ws = [work[q][s] for q in pivot]
-            for t in live[a:]:
-                new = work[s][t]
-                for c, w in zip(coeff[t], ws):
-                    if c:
-                        new -= c * w
-                work[s][t] = work[t][s] = new
-        for t in live:
-            for c, q in zip(coeff[t], pivot):
-                if c:
-                    cols[t] = [x - c * y for x, y in zip(cols[t], cols[q])]
-        yield v, i, block, tuple(tuple(cols[q]) for q in pivot)
-
-
 def _sweep_pieces(gram, p):
     """The sweep's pieces p^e U, U a unit Gram matrix, as a Counter of
     (e, rank, unit): unit is det U mod p at odd p and U mod 8 at p = 2."""
     q = 8 if p == 2 else p
     pieces = Counter()
-    for v, _, block, _ in _valuation_sweep(gram, p):
+    for v, _, block, _ in congruence_split(gram, p):
         unit = tuple(tuple(_frac_mod(x / p ** v, p, q) for x in row)
                      for row in block)
         pieces[v, len(block), unit if p == 2 else unit[0][0]] += 1
@@ -399,7 +319,7 @@ def local_density(G, p, m, *, k_max=None, method="auto",
         raise ValueError(f"p must be prime, got {p}")
     if m == 0:
         raise ValueError("the density at m = 0 is not defined by one level")
-    k = _vp(m, p) + (3 if p == 2 else 1)
+    k = valuation(m, p) + (3 if p == 2 else 1)
     if k_max is not None and k > k_max:
         raise BudgetExceeded(
             f"the density at p = {p}, m = {m} needs level {k} > k_max {k_max}")
@@ -448,13 +368,13 @@ def jordan_decompose_odd(G, p, K):
     if p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime")
     det = G.determinant
-    if K < 2 * _vp(det, p) + 1:
+    if K < 2 * valuation(det, p) + 1:
         raise PrecisionTooLow(
             f"p^K must exceed the square of the p-part of det; "
-            f"need K >= {2 * _vp(det, p) + 1}, got {K}"
+            f"need K >= {2 * valuation(det, p) + 1}, got {K}"
         )
     entries = sorted((v, i, block[0][0] / p ** v, col)
-                     for v, i, block, (col,) in _valuation_sweep(G.matrix, p))
+                     for v, i, block, (col,) in congruence_split(G.matrix, p))
     mod = p ** K
     blocks = tuple(
         JordanBlock(v, tuple(_frac_mod(e[2], p, mod) % p ** max(K - v, 1)
@@ -501,7 +421,7 @@ def _two_adic_pieces(gram, vectors, mod):
         return tuple(tuple(_frac_mod(q, 2, mod) for q in row) for row in rows)
 
     return [(reduced(block), _reduce(mat_mul(reduced(basis), vectors), mod))
-            for _, _, block, basis in _valuation_sweep(gram, 2)]
+            for _, _, block, basis in congruence_split(gram, 2)]
 
 
 def _isotropic_mod8(S):

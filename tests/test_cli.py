@@ -331,13 +331,19 @@ def test_bad_vector_exits_2(forms, capsys):
     assert "entries" in err
 
 
-def test_indefinite_form_names_the_cause(forms, capsys):
-    for argv in (["enumerate", "--form", forms["h"], "--norm", "1"],
-                 ["autord", "--form", forms["h"]]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err == ("qf: form is not positive definite "
-                       "(pivot 0 at index 0)\n")
+def test_indefinite_form_names_the_cause(forms, capsys, tmp_path):
+    # the automorphism search sorts the basis by norm; the message must
+    # still name the pivot in the input basis, as enumerate does
+    d3 = tmp_path / "d3.qf"
+    d3.write_text(GramForm(((3, 0, 0), (0, -2, 0), (0, 0, 1))).text())
+    for form, pivot in ((forms["h"], "pivot 0 at index 0"),
+                        (str(d3), "pivot -2 at index 1")):
+        for argv in (["enumerate", "--form", form, "--norm", "1"],
+                     ["autord", "--form", form],
+                     ["mass-check", "--form", form, "--m", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"qf: form is not positive definite ({pivot})\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflat import exact
+from qflat.gram import GramForm, hyperbolic_plane, orthogonal_sum
+
+H = hyperbolic_plane()
 
 
 def minor_invariant_factors(a):
@@ -159,6 +162,45 @@ def test_cholesky_reconstructs():
 def test_cholesky_rejects_indefinite():
     with pytest.raises(exact.NotPositiveDefinite):
         exact.rational_cholesky(exact.freeze([[1, 2], [2, 1]]))
+    # index-order LDL: no fold turns the zero pivot of H into 2
+    with pytest.raises(exact.NotPositiveDefinite,
+                       match=r"\(pivot 0 at index 0\)$"):
+        exact.rational_cholesky(((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("g, signature", [
+    (orthogonal_sum(H, H).matrix, (2, 2)),
+    (((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1, 2)),
+    (orthogonal_sum(*[H] * 20, GramForm(((2,),))).matrix, (21, 20)),
+])
+def test_congruence_split_over_q_folds_a_zero_diagonal(g, signature):
+    steps = list(exact.congruence_split(g))
+    assert all(v == 0 and len(block) == 1 for v, _, block, _ in steps)
+    for _, _, block, basis in steps:
+        b = exact.transpose(basis)
+        assert exact.mat_mul(exact.mat_mul(basis, g), b) == block
+    bases = [vec for *_, basis in steps for vec in basis]
+    assert exact.determinant(bases) != 0
+    pos = sum(block[0][0] > 0 for _, _, block, _ in steps)
+    assert (pos, len(g) - pos) == signature
+
+
+def test_congruence_split_rejects_a_degenerate_form():
+    for g in (((0, 0), (0, 0)), ((1, 1), (1, 1)),
+              ((0, 1, 0), (1, 0, 0), (0, 0, 0))):
+        with pytest.raises(exact.SingularMatrix, match="degenerate over Q"):
+            list(exact.congruence_split(g))
+    with pytest.raises(exact.SingularMatrix, match="degenerate over Z_p"):
+        list(exact.congruence_split(((2, 2), (2, 2)), 2))
+
+
+def test_content_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="non-integral"):
+        exact.primitive_part((Fraction(3, 2), 3))
+    with pytest.raises(ValueError, match="non-integral"):
+        exact.content((1, Fraction(1, 3)))
+    assert exact.primitive_part((Fraction(4, 2), 6)) == (1, 3)
+    assert exact.content((Fraction(-6, 3), 4)) == 2
 
 
 def test_hermite_form_canonical_under_unimodular_moves():

@@ -60,6 +60,11 @@ def test_classify_rejects_imprimitive_and_zero():
     assert isinstance(classify_root(U, (1, 0)), NotRoot)  # isotropic
     with pytest.raises(ZeroVector):
         classify_root(MINK, (0, 0))
+    # a vector off the lattice is an input error, not a failed root
+    with pytest.raises(ValueError, match="non-integral"):
+        classify_root(GramForm(((1, 0), (0, 1))), (Fraction(3, 2), 3))
+    assert (classify_root(MINK, (Fraction(4, 2), 0))
+            == NotRoot((2, 0), "imprimitive"))
 
 
 def test_classify_lattice_preservation():

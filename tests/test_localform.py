@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_enumeration import random_unimodular, transformed
 
-from qflat.exact import determinant
+from qflat.exact import congruence_split, determinant, valuation
 from qflat.gram import (
     GramForm,
     e8_form,
@@ -25,8 +25,6 @@ from qflat.localform import (
     _legendre,
     _level_density,
     _unit_count_mod1,
-    _valuation_sweep,
-    _vp,
     NoIsotropicVector,
     PrecisionTooLow,
     infinity_density,
@@ -289,7 +287,7 @@ def _square_class(r, p, k):
     """v_p(r) and the class of r/p^v under unit squares mod p^k."""
     if r == 0:
         return (k,)
-    v = _vp(r, p)
+    v = valuation(r, p)
     u = r // p ** v
     return v, (u % min(8, 2 ** (k - v)) if p == 2 else _legendre(u, p))
 
@@ -302,7 +300,7 @@ def _piece_counts(block, p, k, reps):
         hits = Counter(d * x * x % mod for x in range(mod))
         return [hits[r] for r in reps]
     (a, b), (_, c) = block
-    e = _vp(b.numerator, 2) + 1
+    e = valuation(b.numerator, 2) + 1
     level1 = ((3, 1) if (a * c / 4 ** e).numerator % 2 == 0 else (1, 3))
     e = min(e, k)
     return [0 if r % 2 ** e else
@@ -339,7 +337,7 @@ def reference_level_density(G, p, m, k):
                             n, p, k, m)
         tag = "unit-formula"
     else:
-        blocks = [step[2] for step in _valuation_sweep(G.matrix, p)]
+        blocks = [step[2] for step in congruence_split(G.matrix, p)]
         count = _count_by_classes(blocks, p, k, m)
         tag = "jordan-blocks" if p % 2 else "two-adic-pieces"
     return Fraction(count, p ** (k * (n - 1))), tag
