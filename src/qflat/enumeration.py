@@ -39,10 +39,6 @@ class DimensionLimit(ValueError):
 DECOMPOSE_BUDGET = 4_000_000
 
 
-def _as_form(G) -> GramForm:
-    return G if isinstance(G, GramForm) else GramForm(G)
-
-
 def _walk(gram, bound, visit):
     """Visit every nonzero integer vector with f(v) <= bound, both signs.
 
@@ -136,7 +132,7 @@ class ShortVectorList:
 
 def short_vectors(G, bound, *, expand=False):
     """Complete duplicate-free list of vectors with 0 < f(v) <= bound."""
-    G = _as_form(G)
+    G = GramForm.of(G)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     pairs = _vectors_up_to(G.matrix, bound)
@@ -148,7 +144,7 @@ def short_vectors(G, bound, *, expand=False):
 
 def representation_count(G, m):
     """Exact number of integer vectors with f(v) = m."""
-    G = _as_form(G)
+    G = GramForm.of(G)
     if m < 1:
         raise ValueError("m must be >= 1")
     return _norm_counts(G.matrix, m)[m]
@@ -156,7 +152,7 @@ def representation_count(G, m):
 
 def fingerprint(G, M):
     """Representation counts (r(1), ..., r(M)) in one enumeration pass."""
-    G = _as_form(G)
+    G = GramForm.of(G)
     if M < 1:
         raise ValueError("M must be >= 1")
     return tuple(_norm_counts(G.matrix, M)[1:])
@@ -164,7 +160,7 @@ def fingerprint(G, M):
 
 def represents(G, m):
     """Whether f(v) = m has an integer solution; stops at the first one."""
-    G = _as_form(G)
+    G = GramForm.of(G)
     if m < 1:
         raise ValueError("m must be >= 1")
     return _walk(G.matrix, m, lambda x, norm: norm == m)
@@ -194,13 +190,13 @@ def automorphism_search(G, *, dim_limit=8):
     is extended, so vectors of a norm that is the largest diagonal entry
     exactly once never need any.
     """
-    return _search(_as_form(G), dim_limit)
+    return _search(GramForm.of(G), dim_limit)
 
 
 def automorphism_order(G, *, dim_limit=8):
     """|O(L)|; it runs the search itself, not through automorphism_search,
     so that a per-function profile charges the search to the caller."""
-    return _search(_as_form(G), dim_limit).order
+    return _search(GramForm.of(G), dim_limit).order
 
 
 def _search(G, dim_limit):
@@ -291,7 +287,7 @@ def orthogonal_decompose(G, *, budget=DECOMPOSE_BUDGET):
     whole space, whatever the basis.  Returns the component Gram forms; the
     change of basis joining them is verified unimodular.
     """
-    G = _as_form(G)
+    G = GramForm.of(G)
     n = G.n
     gram = G.matrix
     bound = max(gram[i][i] for i in range(n))

@@ -93,6 +93,13 @@ def common_denominator(values) -> int:
     return lcm(*(Fraction(x).denominator for x in values))
 
 
+def clear_denominators(a: Matrix) -> tuple[Matrix, int]:
+    """(d a, d) for the least positive integer d making the matrix a
+    integral; d a has int entries. A vector passes as a one-row matrix."""
+    d = common_denominator(x for row in a for x in row)
+    return tuple(tuple(int(x * d) for x in row) for row in a), d
+
+
 # ---------------------------------------------------------------------------
 # Gaussian elimination over the rationals
 # ---------------------------------------------------------------------------
@@ -359,15 +366,16 @@ def congruence_split(gram: Matrix, p: int | None = None):
         inv = ((1 / block[0][0],),) if len(pivot) == 1 else mat_inverse(block)
         live = [t for t in live if t not in pivot]
         coeff = {t: mat_vec(inv, [work[q][t] for q in pivot]) for t in live}
-        for a, s in enumerate(live):
+        nz = [t for t in live if any(coeff[t])]
+        for a, s in enumerate(nz):
             ws = [work[q][s] for q in pivot]
-            for t in live[a:]:
+            for t in nz[a:]:
                 new = work[s][t]
                 for c, w in zip(coeff[t], ws):
                     if c:
                         new -= c * w
                 work[s][t] = work[t][s] = new
-        for t in live:
+        for t in nz:
             for c, q in zip(coeff[t], pivot):
                 if c:
                     cols[t] = [x - c * y for x, y in zip(cols[t], cols[q])]

@@ -40,6 +40,12 @@ class GramForm:
         self.matrix = m
         self.n = n
 
+    @classmethod
+    def of(cls, x) -> "GramForm":
+        """x itself when it is a GramForm, so its cached determinant and
+        signature survive; otherwise GramForm(x)."""
+        return x if isinstance(x, GramForm) else cls(x)
+
     def __eq__(self, other):
         return isinstance(other, GramForm) and self.matrix == other.matrix
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    common_denominator,
+    clear_denominators,
     content,
     dot,
     freeze,
@@ -30,7 +30,6 @@ from .exact import (
 )
 from .gram import GramForm, orthogonal_sum, scale_form
 from .intervals import Interval, acosh_interval
-from .lattice import Lattice
 
 
 class ZeroVector(ValueError):
@@ -75,14 +74,6 @@ class NotRoot:
     reason: str
 
 
-def _form_of(L) -> GramForm:
-    if isinstance(L, GramForm):
-        return L
-    if isinstance(L, Lattice):
-        return L.induced_gram_form()
-    return GramForm(L)
-
-
 def _vector_of(v):
     if isinstance(v, (PositiveRoot, NegativeRoot)):
         return v.vector
@@ -96,7 +87,7 @@ def classify_root(L, v):
     integrality 2(v,u)/f(v) in Z against every basis vector u, so that
     r_v preserves the lattice.
     """
-    G = _form_of(L)
+    G = GramForm.of(L)
     v = _vector_of(v)
     if len(v) != G.n:
         raise ValueError("vector length does not match the form")
@@ -120,15 +111,11 @@ def reflect(L, v, x):
 
     v must classify as a root; x may have rational coordinates.
     """
-    G = _form_of(L)
-    root = classify_root(G, v)
-    if isinstance(root, NotRoot):
-        raise NotARoot(root.reason)
-    v = root.vector
-    pairing = dot(mat_vec(G.matrix, v), x)
-    coeff = Fraction(2 * pairing, root.norm)
-    out = tuple(x[i] - coeff * v[i] for i in range(G.n))
-    if all(Fraction(c).denominator == 1 for c in out):
+    r = reflection_matrix(L, v)
+    if len(x) != len(r):
+        raise ValueError("vector length does not match the form")
+    out = tuple(Fraction(c) for c in mat_vec(r, x))
+    if all(c.denominator == 1 for c in out):
         out = tuple(int(c) for c in out)
     return out
 
@@ -146,7 +133,7 @@ class Isometry:
 
 def reflection_matrix(L, v):
     """The matrix of r_v; integral whenever v is a root."""
-    G = _form_of(L)
+    G = GramForm.of(L)
     root = classify_root(G, v)
     if isinstance(root, NotRoot):
         raise NotARoot(root.reason)
@@ -167,7 +154,7 @@ def cartan_involution(L, v):
     preserves the sheet containing v.  Both c_v^2 = 1 and the form
     invariance are re-verified exactly.
     """
-    G = _form_of(L)
+    G = GramForm.of(L)
     root = classify_root(G, v)
     if not isinstance(root, NegativeRoot):
         raise NotNegativeRoot(
@@ -204,7 +191,7 @@ class SheetPoint:
 
 def sheet_point(L, x, seed, level=None):
     """Certify x as a point of the sheet of {f = -level} containing seed."""
-    G = _form_of(L)
+    G = GramForm.of(L)
     x = tuple(Fraction(c) for c in x)
     seed = tuple(seed)
     val = -G.value(x)
@@ -269,9 +256,9 @@ def classify_hyperplane_meet(f, q, t, v, *, alpha=1):
     it misses it; otherwise the meet is the hyperplane of the positive
     root u/content(u) of q.
     """
-    f = _form_of(f)
-    q = _form_of(q)
-    t = _form_of(t)
+    f = GramForm.of(f)
+    q = GramForm.of(q)
+    t = GramForm.of(t)
     declared = orthogonal_sum(scale_form(q, alpha), t)
     if f.matrix != declared.matrix:
         raise BadDecomposition("form does not match the declared block sum")
@@ -309,10 +296,8 @@ def complement_form(L, v):
     definite when the ambient form is indefinite; callers can inspect the
     signature.
     """
-    G = _form_of(L)
-    v = _vector_of(v)
-    den = common_denominator(v)
-    v = tuple(int(x * den) for x in v)
+    G = GramForm.of(L)
+    (v,), _ = clear_denominators((_vector_of(v),))
     if G.value(v) == 0:
         raise IsotropicVector("complement of an isotropic vector is singular")
     basis = kernel_basis_int((mat_vec(G.matrix, v),))

@@ -2,18 +2,18 @@
 
 A Lattice is the integer span of finitely many independent rational
 columns, paired by an ambient Gram form. Sums, intersections, duals, and
-discriminant invariants are computed exactly; sums and intersections work
-by clearing denominators and running integer Hermite/Smith reductions, so
-no step leaves exact arithmetic. Saturation repairs square prime factors
-in the discriminant group by adjoining p L* intersected with (1/p) L, one
-prime at a time in increasing order.
+discriminant invariants are computed exactly; sums and intersections
+clear denominators once, with exact.clear_denominators, and run integer
+Hermite reductions, so no step leaves exact arithmetic. Saturation
+repairs square prime factors in the discriminant group by adjoining
+p L* intersected with (1/p) L, one prime at a time in increasing order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt
 
 from . import exact
 from .gram import GramForm
@@ -67,17 +67,9 @@ class Lattice:
 
     @cached_property
     def canonical_key(self):
-        """(integer column Hermite form, denominator), unique per span."""
-        den = exact.common_denominator(x for row in self.basis for x in row)
-        m = tuple(
-            tuple(int(x * den) for x in row) for row in self.basis
-        )
-        h = exact.column_hermite_form(m)
-        g = gcd(den, exact.content(x for row in h for x in row))
-        if g > 1:
-            h = tuple(tuple(x // g for x in row) for row in h)
-            den //= g
-        return (h, den)
+        """(Hermite form of dL, least d with dL integral), unique per span."""
+        m, den = exact.clear_denominators(self.basis)
+        return (exact.column_hermite_form(m), den)
 
     def __eq__(self, other):
         return (
@@ -127,13 +119,8 @@ def scale_lattice(lat: Lattice, c) -> Lattice:
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     if a.ambient != b.ambient:
         raise ValueError("lattices live in different quadratic spaces")
-    den = exact.common_denominator(
-        x for lat in (a, b) for row in lat.basis for x in row)
-    cols = []
-    for lat in (a, b):
-        for j in range(lat.rank):
-            cols.append(tuple(int(lat.basis[i][j] * den) for i in range(lat.ambient.n)))
-    joined = exact.transpose(exact.freeze(cols))
+    joined, den = exact.clear_denominators(
+        tuple(ra + rb for ra, rb in zip(a.basis, b.basis)))
     return _canonical_lattice(a.ambient, joined, den)
 
 
@@ -141,30 +128,15 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
     """All vectors lying in both lattices, via an integer kernel computation."""
     if a.ambient != b.ambient:
         raise ValueError("lattices live in different quadratic spaces")
-    den = exact.common_denominator(
-        x for lat in (a, b) for row in lat.basis for x in row)
-    am = tuple(
-        tuple(int(x * den) for x in row) for row in a.basis
-    )
-    bm = tuple(
-        tuple(int(x * den) for x in row) for row in b.basis
-    )
-    stacked = tuple(
-        tuple(am[i]) + tuple(-x for x in bm[i]) for i in range(a.ambient.n)
-    )
+    stacked, _ = exact.clear_denominators(
+        tuple(ra + tuple(-x for x in rb) for ra, rb in zip(a.basis, b.basis)))
     kern = exact.kernel_basis_int(stacked)
-    krows, kcols = exact.shape(kern)
-    if kcols == 0:
+    if exact.shape(kern)[1] == 0:
         raise ValueError("intersection is the zero lattice")
-    # x-part of each kernel column gives a member a.basis @ x
-    cols = []
-    for j in range(kcols):
-        x = tuple(kern[i][j] for i in range(a.rank))
-        vec = exact.mat_vec(a.basis, x)
-        cols.append(vec)
-    den2 = exact.common_denominator(val for vec in cols for val in vec)
-    int_cols = tuple(tuple(int(v * den2) for v in vec) for vec in cols)
-    return _canonical_lattice(a.ambient, exact.transpose(exact.freeze(int_cols)), den2)
+    # the x-part of each kernel column (x, y) gives a member a.basis @ x
+    members, den = exact.clear_denominators(
+        exact.mat_mul(a.basis, kern[:a.rank]))
+    return _canonical_lattice(a.ambient, members, den)
 
 
 def dual_lattice(lat: Lattice) -> Lattice:

@@ -313,8 +313,7 @@ def local_density(G, p, m, *, k_max=None, method="auto",
     that method only, so the two cross-validate.  `k_max` caps k0:
     BudgetExceeded when k0 > k_max.
     """
-    if not isinstance(G, GramForm):
-        G = GramForm(G)
+    G = GramForm.of(G)
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if m == 0:
@@ -363,8 +362,7 @@ def jordan_decompose_odd(G, p, K):
     itself is exact, so the requirement is a certification threshold,
     not a numerical one.
     """
-    if not isinstance(G, GramForm):
-        G = GramForm(G)
+    G = GramForm.of(G)
     if p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime")
     det = G.determinant
@@ -468,8 +466,7 @@ def two_adic_split(G, K=8):
     canonical.  Raises NoIsotropicVector if G has rank 2 to 4 and no block
     splits off.
     """
-    if not isinstance(G, GramForm):
-        G = GramForm(G)
+    G = GramForm.of(G)
     if G.determinant % 2 == 0:
         raise ValueError("two_adic_split requires unit 2-adic determinant")
     if K < 3:

@@ -97,8 +97,7 @@ def siegel_rhs(G, m, prime_bound=10_000, *, bits=None):
     rounded outward to `precision_bits(bits)`.  The Euler product stops at
     `prime_bound`; the tail beyond it is not bounded.
     """
-    if not isinstance(G, GramForm):
-        G = GramForm(G)
+    G = GramForm.of(G)
     if m < 1:
         raise ValueError("m must be >= 1")
     if prime_bound < 2:
@@ -208,7 +207,11 @@ def _fmt(x):
     return str(x)
 
 
-def bounds_ledger_41(*, bits=None, euler_bound=100):
+# the odd-prime Euler product of item (a) runs over p <= EULER_BOUND
+EULER_BOUND = 100
+
+
+def bounds_ledger_41(*, bits=None):
     """Certified checks behind the 41-variable density bound.
 
     (a) the odd-prime factor prod_{p odd} (1-p^-4)/(1-p^-3), evaluated
@@ -235,15 +238,15 @@ def bounds_ledger_41(*, bits=None, euler_bound=100):
     z4 = zeta_interval(4, terms=128)
     ratio = z3 * Interval(Fraction(14)) / (z4 * Interval(Fraction(15)))
     euler = Interval(Fraction(1))
-    for p in _primes_up_to(euler_bound):
+    for p in _primes_up_to(EULER_BOUND):
         if p == 2:
             continue
         q = Fraction(p)
         euler = euler * Interval(
             (1 - q ** -4) / (1 - q ** -3))
     # remaining factors each lie in (1, 1 + 2p^-3); the sum of 2p^-3 over
-    # p > B is below B^-2 and exp(S) <= 1 + 2S for S <= 1/2
-    tail = Interval(Fraction(1), 1 + 2 * Fraction(1, euler_bound) ** 2)
+    # p > B = EULER_BOUND is below B^-2 and exp(S) <= 1 + 2S for S <= 1/2
+    tail = Interval(Fraction(1), 1 + 2 * Fraction(1, EULER_BOUND) ** 2)
     euler = euler * tail
     a_pass = (ratio.hi <= Fraction(11, 10)
               and Fraction(103, 100) <= ratio.lo

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import (common_denominator, determinant, freeze, identity,
+from .exact import (clear_denominators, determinant, freeze, identity,
                     kernel_basis_int, mat_inverse, mat_mul, mat_vec,
                     primitive_part, transpose)
 from .gram import GramForm
@@ -224,8 +224,8 @@ def _mat_pow(A, k):
 
 def _primitive(v):
     """The primitive integer vector on the ray of a nonzero rational v."""
-    den = common_denominator(v)
-    return primitive_part([x * den for x in v])
+    (w,), _ = clear_denominators((v,))
+    return primitive_part(w)
 
 
 def _require_disc_isometry(A):
@@ -271,10 +271,10 @@ def _axis_normal(A):
     (c1, c2)^2 = (c1, c1)(c2, c2).
     """
     _, det = _trace_rule(A)
-    den = common_denominator(x for row in A for x in row)
-    (c,) = transpose(kernel_basis_int(tuple(
-        tuple(int(den * (x - (det if i == j else 0)))
-              for j, x in enumerate(row)) for i, row in enumerate(A))))
+    m, _ = clear_denominators(tuple(
+        tuple(x - (det if i == j else 0) for j, x in enumerate(row))
+        for i, row in enumerate(A)))
+    (c,) = transpose(kernel_basis_int(m))
     return c
 
 
@@ -376,10 +376,8 @@ def free_words_audit(a, b, max_len=6):
     Returns (words_checked, all_nontrivial, offending_word).
     """
     a, b = _matrix_of(a), _matrix_of(b)
-    gens = []
-    for g in (a, mat_inverse(a), b, mat_inverse(b)):
-        d = common_denominator(x for row in g for x in row)
-        gens.append((tuple(tuple(int(x * d) for x in row) for row in g), d))
+    gens = [clear_denominators(g)
+            for g in (a, mat_inverse(a), b, mat_inverse(b))]
     names = ["a", "A", "b", "B"]
     checked = 0
     stack = [(i, *gens[i], names[i]) for i in range(4)]

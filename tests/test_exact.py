@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflat import exact
-from qflat.gram import GramForm, hyperbolic_plane, orthogonal_sum
+from qflat.gram import GramForm, hyperbolic_plane, identity_form, orthogonal_sum
 
 H = hyperbolic_plane()
 
@@ -172,6 +172,7 @@ def test_cholesky_rejects_indefinite():
     (orthogonal_sum(H, H).matrix, (2, 2)),
     (((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1, 2)),
     (orthogonal_sum(*[H] * 20, GramForm(((2,),))).matrix, (21, 20)),
+    (orthogonal_sum(identity_form(93), GramForm(((-1,),))).matrix, (93, 1)),
 ])
 def test_congruence_split_over_q_folds_a_zero_diagonal(g, signature):
     steps = list(exact.congruence_split(g))
@@ -192,6 +193,18 @@ def test_congruence_split_rejects_a_degenerate_form():
             list(exact.congruence_split(g))
     with pytest.raises(exact.SingularMatrix, match="degenerate over Z_p"):
         list(exact.congruence_split(((2, 2), (2, 2)), 2))
+
+
+def test_clear_denominators_takes_the_least_multiplier():
+    ints = ((2, -4), (6, 0))
+    assert exact.clear_denominators(ints) == (ints, 1)
+    q = ((Fraction(1, 4), Fraction(5, 6)), (3, Fraction(-2, 3)))
+    m, d = exact.clear_denominators(q)
+    assert (m, d) == (((3, 10), (36, -8)), 12)
+    assert all(type(x) is int for row in m for x in row)
+    assert exact.clear_denominators(((0, 0, 0),)) == (((0, 0, 0),), 1)
+    assert exact.clear_denominators(((Fraction(1, 2), 0), (0, 0))) == (
+        ((1, 0), (0, 0)), 2)
 
 
 def test_content_rejects_non_integral_entries():

@@ -68,6 +68,18 @@ def test_signature_examples():
     assert scale_form(identity_form(3), -2).signature == (0, 3)
 
 
+def test_of_passes_a_form_through_and_builds_one_from_rows():
+    f = GramForm([[2, 1], [1, 2]])
+    assert f.determinant == 3
+    assert GramForm.of(f) is f
+    assert "determinant" in vars(GramForm.of(f))
+    rows = [[0, 1], [1, 0]]
+    assert GramForm.of(rows) == GramForm(rows)
+    assert GramForm.of(rows).signature == (1, 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        GramForm.of([[1, 2], [3, 4]])
+
+
 def test_determinants():
     assert e8_form().determinant == 1
     assert hyperbolic_plane().determinant == -1

@@ -82,6 +82,13 @@ def test_reflect_examples():
         reflect(U, (1, 0), (1, 1))
 
 
+def test_reflect_rejects_a_wrong_length_vector():
+    z2 = GramForm(identity(2))
+    for x in ((3, 2, 5), (3,)):
+        with pytest.raises(ValueError, match="length"):
+            reflect(z2, (1, 0), x)
+
+
 def test_reflection_random_suite():
     # 1000 (v, x) samples: form preserved, involution, determinant -1
     rng = random.Random(17)

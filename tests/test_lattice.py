@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qflat import exact
 from qflat.gram import GramForm, e8_form, hyperbolic_plane, identity_form
@@ -126,6 +128,37 @@ def test_saturate_properties_random():
         # discriminant divides the original
         d0, d1 = discriminant(lat), discriminant(sat)
         assert d0 % d1 == 0
+
+
+def _columns(lat):
+    return [tuple(row[j] for row in lat.basis) for j in range(lat.rank)]
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two full-rank lattices with small rational bases in one diagonal form."""
+    n = draw(st.integers(1, 3))
+    diag = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 5]),
+                         min_size=n, max_size=n))
+    f = GramForm([[diag[i] if i == j else 0 for j in range(n)]
+                  for i in range(n)])
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    bases = [draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=n, max_size=n)) for _ in range(2)]
+    assume(all(exact.determinant(b) != 0 for b in bases))
+    return Lattice(f, bases[0]), Lattice(f, bases[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lattice_pairs())
+def test_sum_and_meet_obey_the_second_isomorphism_theorem(pair):
+    a, b = pair
+    s, m = lattice_sum(a, b), lattice_intersection(a, b)
+    # [A + B : B] = [A : A meet B], squared through the Gram determinants
+    assert discriminant(m) * discriminant(s) == discriminant(a) * discriminant(b)
+    for lat in (a, b):
+        assert all(s.contains(v) for v in _columns(lat))
+        assert all(lat.contains(v) for v in _columns(m))
 
 
 def test_non_integral_rejected():
