@@ -23,6 +23,10 @@ class NotClassicallyIntegral(ValueError):
     """The pairing takes non-integer values on the lattice."""
 
 
+class DegenerateLattice(ValueError):
+    """The pairing is degenerate on the lattice: its Gram matrix is singular."""
+
+
 class Lattice:
     """Integer span of independent rational basis columns under an ambient form."""
 
@@ -173,15 +177,20 @@ def saturate(lat: Lattice) -> Lattice:
 
     Primes are processed in increasing order; each pass strictly divides
     the discriminant, so the loop terminates. The result still takes
-    integer pairing values, contains the input, and is idempotent.
+    integer pairing values, contains the input, and is idempotent. A
+    degenerate lattice, whose discriminant group is infinite, raises
+    DegenerateLattice.
     """
     if not lat.is_classically_integral:
         raise NotClassicallyIntegral("saturation needs an integral lattice")
     current = lat
     while True:
         facs = invariant_factors(current)
-        bad = sorted({p for f in facs if f not in (0, 1)
-                      for p in _square_primes(f)})
+        if 0 in facs:
+            raise DegenerateLattice(
+                "saturation needs a nondegenerate lattice; the induced Gram "
+                "matrix is singular")
+        bad = sorted({p for f in facs for p in _square_primes(f)})
         if not bad:
             return current
         p = bad[0]

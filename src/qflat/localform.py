@@ -227,16 +227,18 @@ def _unit_part(pieces, p, m, n, r0):
 def _reduction_count(pieces, p, k, m, n):
     """#{x mod p^k : f(x) = m} for f the sum of `pieces`, k >= v_p(m) + d."""
     d = 3 if p == 2 else 1
-    count, lift = 0, 1
+    # scale = p^(n - r0) for each level above, times p^((k - d)(n - 1)) at
+    # this level k: a level down multiplies it by p^(n - r0) and divides it
+    # by p^(n - 1), exactly, as k - 1 >= d while p divides m
+    count, scale = 0, p ** ((k - d) * (n - 1))
     while True:
         r0 = sum(r * c for (e, r, _), c in pieces.items() if e == 0)
         if r0:
-            count += (lift * _unit_part(pieces, p, m, n, r0)
-                      * p ** ((k - d) * (n - 1)))
+            count += scale * _unit_part(pieces, p, m, n, r0)
         if m % p:
             return count
-        lift *= p ** (n - r0)
-        k, m, rotated = k - 1, m // p, Counter()
+        scale = scale * p ** (n - r0) // p ** (n - 1)
+        m, rotated = m // p, Counter()
         for (e, r, u), c in pieces.items():
             rotated[e - 1 if e else 1, r, u] += c
         pieces = rotated

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .enumeration import representation_count
 from .gram import GramForm, hyperbolic_plane, orthogonal_sum
 from .intervals import Interval, pow_half_integer, precision_bits
 from .localform import (
-    _unit_count_mod1,
     infinity_density,
     local_density,
     stirling_omega_upper,
@@ -69,13 +69,22 @@ class GenusInput:
 
 @dataclass(frozen=True)
 class SiegelRhs:
-    """Truncated density product: epsilon * D_inf * prod_{p<=B} D_p."""
+    """Truncated density product: epsilon * D_inf * prod_{p<=B} D_p.
+
+    `numerator` / `denominator` is prod_{p<=B} D_p, not in lowest terms.
+    """
 
     interval: Interval
     epsilon: Fraction
     prime_bound: int
-    local_product: Fraction
+    numerator: int
+    denominator: int
     archimedean: Interval
+
+    @cached_property
+    def local_product(self):
+        """prod_{p<=B} D_p in lowest terms, reduced on first read."""
+        return Fraction(self.numerator, self.denominator)
 
 
 def _product(xs):
@@ -90,12 +99,19 @@ def siegel_rhs(G, m, prime_bound=10_000, *, bits=None):
 
     At p not dividing 2*m*det the density is the level-1 unit count over
     p^(n-1), which Hensel lifting keeps at every level: with h = n // 2,
-    (p^h - chi(p))/p^h for even n and (p^h + chi(p))/p^h for odd n.  Other
-    primes go through `local_density`.  Numerators and denominators are
-    multiplied in product trees and reduced once, into the exact
-    `local_product`.  epsilon * local_product, and then the result, are
-    rounded outward to `precision_bits(bits)`.  The Euler product stops at
-    `prime_bound`; the tail beyond it is not bounded.
+    (p^h - chi((-1)^h det, p))/p^h for even n and
+    (p^h + chi((-1)^h det m, p))/p^h for odd n.  Other primes go through
+    `local_density`.  Numerators and denominators are multiplied in
+    product trees into num/den, which is never reduced: with
+    epsilon = e1/e2 and b = `precision_bits(bits)`, epsilon * num/den is
+    rounded outward to [floor(e1 num 2^b / (e2 den)), ceil(...)] / 2^b by
+    one integer division per end, whose quotient has about b bits, and
+    the result times the archimedean interval is rounded outward again.
+    floor(x 2^b) does not depend on how x is written, so the endpoints
+    are those of rounding the reduced product.  `local_product` pays for
+    the reduction, a quadratic gcd at large bounds, only when read.  The
+    Euler product stops at `prime_bound`; the tail beyond it is not
+    bounded.
     """
     G = GramForm.of(G)
     if m < 1:
@@ -104,20 +120,29 @@ def siegel_rhs(G, m, prime_bound=10_000, *, bits=None):
         raise ValueError("prime_bound must be >= 2")
     n, det = G.n, G.determinant
     eps = Fraction(1, 2) if n == 2 else Fraction(1)
+    h = n // 2
+    # the good-prime factor is p^h + sign * chi(a, p)
+    sign = 1 if n % 2 else -1
+    a = (-1) ** h * det * (m if n % 2 else 1)
     nums, dens = [], []
     for p in _primes_up_to(prime_bound):
         if (2 * m * det) % p:
-            nums.append(_unit_count_mod1(n, det, p, m) // p ** ((n - 1) // 2))
-            dens.append(p ** (n // 2))
+            chi = 1 if pow(a, p >> 1, p) == 1 else -1
+            q = p ** h
+            nums.append(q + sign * chi)
+            dens.append(q)
             continue
         d = local_density(G, p, m)
         nums.append(d.value.numerator)
         dens.append(d.value.denominator)
-    prod = Fraction(_product(nums), _product(dens))
+    num, den = _product(nums), _product(dens)
     b = precision_bits(bits)
+    top, bottom = eps.numerator * num << b, eps.denominator * den
+    local = Interval(Fraction(top // bottom, 1 << b),
+                     Fraction(-(-top // bottom), 1 << b))
     arch = infinity_density(n, abs(det), Fraction(m), bits=bits)
-    total = (arch * Interval(eps * prod).round_out(b)).round_out(b)
-    return SiegelRhs(total, eps, prime_bound, prod, arch)
+    total = (arch * local).round_out(b)
+    return SiegelRhs(total, eps, prime_bound, num, den, arch)
 
 
 @dataclass(frozen=True)

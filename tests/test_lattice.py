@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qflat import exact
 from qflat.gram import GramForm, e8_form, hyperbolic_plane, identity_form
 from qflat.lattice import (
+    DegenerateLattice,
     Lattice,
     NotClassicallyIntegral,
     discriminant,
@@ -168,6 +169,17 @@ def test_non_integral_rejected():
     with pytest.raises(NotClassicallyIntegral):
         invariant_factors(lat)
     with pytest.raises(NotClassicallyIntegral):
+        saturate(lat)
+
+
+@pytest.mark.parametrize("ambient, basis", [
+    ([[1, 0, 0], [0, -1, 0], [0, 0, 4]], [[1, 0], [1, 0], [0, 1]]),
+    ([[1, 0], [0, -1]], [[1], [1]]),
+], ids=["invariant-factors-4-0", "isotropic-line"])
+def test_saturate_rejects_a_degenerate_lattice(ambient, basis):
+    lat = Lattice(GramForm(ambient), basis)
+    assert discriminant(lat) == 0
+    with pytest.raises(DegenerateLattice, match="singular"):
         saturate(lat)
 
 

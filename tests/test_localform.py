@@ -264,6 +264,42 @@ def test_e8_at_two_to_the_sixty():
         Fraction(1, 8 ** j) for j in range(60))
 
 
+def _unimodular_density(G, p, v):
+    """(1 - chi p^-h) sum_{j<=v} (chi p^(1-h))^j, chi = ((-1)^h det / p):
+    the classical p-density of a form of even rank 2h with p not dividing
+    2 det, at any m of valuation v."""
+    h = G.n // 2
+    chi = _legendre((-1) ** h * G.determinant, p)
+    step = chi * Fraction(p) ** (1 - h)
+    geometric = v + 1 if step == 1 else (1 - step ** (v + 1)) / (1 - step)
+    return (1 - chi * Fraction(p) ** -h) * geometric
+
+
+# H + H has chi = 1 at p = 3, H + Z^2 has chi = -1
+@pytest.mark.parametrize("G", [orthogonal_sum(hyperbolic_plane(),
+                                              hyperbolic_plane()),
+                               orthogonal_sum(hyperbolic_plane(),
+                                              identity_form(2))],
+                         ids=["HH", "HZ2"])
+def test_unimodular_density_formula_against_counting(G):
+    for v in range(3):
+        for u in (1, 2):
+            d = local_density(G, 3, u * 3 ** v, method="count")
+            assert d.value == _unimodular_density(G, 3, v), (u, v)
+
+
+def test_e8_at_three_high_valuation():
+    # v + 1 reduction steps, each a few exact operations on the count
+    G = e8_form()
+    start = time.perf_counter()
+    for v in (0, 1, 2, 10, 100, 1000, 3000):
+        for u in (1, 2):
+            d = local_density(G, 3, u * 3 ** v)
+            assert (d.k, d.method) == (v + 1, "unit-formula")
+            assert d.value == _unimodular_density(G, 3, v), (u, v)
+    assert time.perf_counter() - start < 5
+
+
 # ---------------------------------------------------------------------------
 # reference: level counts by class tables, the method before the reduction
 

@@ -1,6 +1,7 @@
 """Tests for mass-formula checks and the dimension-41 bounds ledger."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -179,6 +180,60 @@ def test_good_prime_factor_matches_direct_count(n, p, m, data):
     count = local_density(G, p, m, method="count")
     assert count.stabilized
     assert siegel_rhs(G, m, p).local_product == before * count.value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(4, 9), p=st.sampled_from((3, 5, 7, 11, 13)),
+       m=st.integers(1, 40), data=st.data())
+def test_good_prime_factor_matches_local_density(n, p, m, data):
+    """The closed-form good-prime factor against `local_density` at that
+    prime, on diagonally dominant (so positive definite) forms of rank
+    4 to 9, where brute force is out of reach."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(-2, 2))
+    for i in range(n):
+        rows[i][i] = data.draw(st.integers(1, 5)) + sum(map(abs, rows[i]))
+    G = GramForm(tuple(map(tuple, rows)))
+    assume((2 * m * G.determinant) % p)
+    before = siegel_rhs(G, m, p - 1).local_product
+    assume(before != 0)
+    factor = local_density(G, p, m)
+    assert factor.method == "unit-formula"
+    assert siegel_rhs(G, m, p).local_product == before * factor.value
+
+
+ROUNDING_FORMS = [("Z2", identity_form(2)), ("D4", D4),
+                  ("Z5", identity_form(5)), ("E8", e8_form())]
+
+
+@pytest.mark.parametrize("bits", (16, 64, 128))
+@pytest.mark.parametrize("name, G", ROUNDING_FORMS,
+                         ids=[name for name, _ in ROUNDING_FORMS])
+def test_siegel_rhs_rounds_as_the_reduced_product(name, G, bits):
+    """The interval rounded from the unreduced numerator and denominator
+    is the one rounded from the reduced product, endpoint for endpoint;
+    m = 5, 6, 7, 8 covers every residue class mod 4."""
+    for m in (5, 6, 7, 8):
+        rhs = siegel_rhs(G, m, 1000, bits=bits)
+        arch = infinity_density(G.n, G.determinant, Fraction(m), bits=bits)
+        local = Interval(rhs.epsilon * rhs.local_product).round_out(bits)
+        assert rhs.archimedean == arch, (name, m)
+        assert rhs.interval == (arch * local).round_out(bits), (name, m)
+
+
+def test_local_product_is_reduced_only_when_read():
+    check = siegel_check(GenusInput((identity_form(5),), (3840,)), 2, 3000)
+    rhs = check.rhs
+    assert "local_product" not in vars(rhs)
+    # the stored pair is not in lowest terms: p^2 +- 1 at a good p shares
+    # the small primes of the other factors' denominators p'^2
+    assert gcd(rhs.numerator, rhs.denominator) > 1
+    q = rhs.local_product
+    assert q == Fraction(rhs.numerator, rhs.denominator)
+    assert gcd(q.numerator, q.denominator) == 1
+    assert rhs.local_product is q
 
 
 def test_mass_ledger_json_record():
