@@ -3,19 +3,20 @@
 Matrices are immutable tuples of row tuples and vectors are plain tuples.
 Entries are Python ints or fractions.Fraction, so nothing here ever rounds.
 The module supplies the kernel every higher layer leans on: one forward
-Gaussian elimination (determinants, rank, inverses and span coordinates)
-and its pivot-free symmetric form (the enumerator's rational Cholesky
-split), one symmetric congruence split (signatures over Q and the p-adic
-pieces behind local densities and Jordan forms), and one integer
-reduction, the canonical row Hermite form, from which come the Hermite
-bases of lattice spans, the Smith invariant factors and saturated
-integral kernels.
+Gaussian elimination (rank, inverses and span coordinates) and its
+pivot-free symmetric form (the enumerator's rational Cholesky split),
+Bareiss's fraction-free elimination for determinants, one symmetric
+congruence split (signatures over Q in Fractions, and in integers mod
+p^K the p-adic pieces behind local densities and Jordan forms), and one
+integer reduction, the canonical row Hermite form, from which come the
+Hermite bases of lattice spans, the Smith invariant factors and
+saturated integral kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -105,7 +106,7 @@ def clear_denominators(a: Matrix) -> tuple[Matrix, int]:
 # ---------------------------------------------------------------------------
 
 
-def _forward(rows: list, ncols: int) -> tuple[list, int]:
+def _forward(rows: list, ncols: int) -> list:
     """Row-reduce `rows` in place to echelon form on the first ncols columns.
 
     Rows are lists of Fractions and may run past ncols (augmented
@@ -113,10 +114,9 @@ def _forward(rows: list, ncols: int) -> tuple[list, int]:
     below the current row; zero multipliers and zero pivot-row entries are
     skipped, which keeps sparse inputs cheap. Entries below a pivot are
     left stale, as nothing reads them. Returns the pivot columns (pivot r
-    sits in row r) and the sign of the row permutation.
+    sits in row r).
     """
     pivots = []
-    sign = 1
     nrows = len(rows)
     for col in range(ncols):
         r = len(pivots)
@@ -125,7 +125,6 @@ def _forward(rows: list, ncols: int) -> tuple[list, int]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
         prow = rows[r]
         inv = 1 / prow[col]
         nz = [j for j in range(col + 1, len(prow)) if prow[j]]
@@ -136,7 +135,7 @@ def _forward(rows: list, ncols: int) -> tuple[list, int]:
                 for j in nz:
                     row[j] -= f * prow[j]
         pivots.append(col)
-    return pivots, sign
+    return pivots
 
 
 def _back_substitute(rows: list, pivots: list) -> None:
@@ -165,21 +164,39 @@ def _fraction_rows(a: Matrix, extra=None) -> list:
 
 
 def determinant(a: Matrix):
-    """Exact determinant; an int for integer input, else a Fraction."""
+    """Exact determinant; an int for integer input, else a Fraction.
+
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968), with row
+    swaps, on d a for d the common denominator, divided by d^n: every
+    entry is a minor of d a, so each division by the last pivot is exact.
+    """
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    rows = _fraction_rows(a)
-    pivots, sign = _forward(rows, n)
-    det = sign * prod(rows[i][i] for i in range(n)) if len(pivots) == n else 0
-    if all(isinstance(x, int) for row in a for x in row):
-        return int(det)
-    return Fraction(det)
+    ints = all(isinstance(x, int) for row in a for x in row)
+    b, d = (a, 1) if ints else clear_denominators(a)
+    rows = [list(row) for row in b]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return 0 if ints else Fraction(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        prow, top = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            if f or top != prev:
+                row[k + 1:] = [(top * x - f * y) // prev
+                               for x, y in zip(row[k + 1:], prow[k + 1:])]
+        prev = top
+    return sign * prev if ints else Fraction(sign * prev, d ** n)
 
 
 def rank(a: Matrix) -> int:
     """Rank over the rationals."""
-    return len(_forward(_fraction_rows(a), shape(a)[1])[0])
+    return len(_forward(_fraction_rows(a), shape(a)[1]))
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -188,7 +205,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     if n != m:
         raise ValueError("inverse of a non-square matrix")
     rows = _fraction_rows(a, identity(n))
-    pivots, _ = _forward(rows, n)
+    pivots = _forward(rows, n)
     if len(pivots) < n:
         raise SingularMatrix("matrix is singular")
     _back_substitute(rows, pivots)
@@ -200,7 +217,7 @@ def span_coordinates(a: Matrix, b: Sequence):
     outside the column span; raises SingularMatrix on dependent columns."""
     cols = shape(a)[1]
     rows = _fraction_rows(a, ((x,) for x in b))
-    pivots, _ = _forward(rows, cols)
+    pivots = _forward(rows, cols)
     if len(pivots) < cols:
         raise SingularMatrix("columns are dependent")
     if any(row[cols] for row in rows[cols:]):
@@ -313,7 +330,8 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def congruence_split(gram: Matrix, p: int | None = None):
+def congruence_split(gram: Matrix, p: int | None = None,
+                     mod: int | None = None):
     """Split a nondegenerate symmetric matrix by congruence, one pivot at a
     time, over Z_p for a prime p or over Q for p None.
 
@@ -322,63 +340,81 @@ def congruence_split(gram: Matrix, p: int | None = None):
     off-diagonal entry (i, j) reaches v, odd p folds e_j into e_i, which
     surfaces a diagonal pivot of valuation exactly v (2 is a unit), and
     p = 2 takes the 2x2 block on (i, j), whose determinant has valuation
-    exactly 2v.  Over Q every nonzero entry has valuation 0 and 2 is a
-    unit, so the same rule diagonalizes: the first nonzero diagonal
-    entry, else a fold of the first nonzero off-diagonal pair.  The
-    remaining basis vectors are projected off the pivot block in exact
-    Fractions; every coefficient is p-integral, so the transformation is
-    invertible over Z/p^k and keeps solution counts.  A live block that
-    is all zero raises SingularMatrix.
+    exactly 2v.  Over Q, in Fractions, every nonzero entry has valuation
+    0.  A live block that is all zero raises SingularMatrix.
+
+    With a prime p, entries and basis are ints mod `mod` = p^K, by
+    default p^(v_p(det) + 3) (a zero det raises SingularMatrix); the unit
+    part U = block / p^v is inverted by pow, a 2x2 U through its odd
+    determinant.  This is the exact sweep, reduced.  (1) The pivot has
+    the least valuation v of the live block, so the coefficients
+    (entry / p^v) U^-1 are known mod p^(K-v) and multiply entries
+    divisible by p^v: the Schur update mod p^K needs only the entries
+    mod p^K.  (2) The pivot and live determinants multiply to det times
+    a unit, so with K > v_p(det) no live block vanishes mod p^K, and
+    every valuation and pivot is the exact sweep's.  (3) U is read mod
+    p^(K-v): U mod 8 at p = 2 needs K >= v + 3.  (4) By (1), with
+    v <= v_p(det), the basis loses at most v_p(det) digits.
 
     Yields (v, i, block, basis) per step: the pivot index i, the Gram
     matrix of the piece split off (1x1, or 2x2 at p = 2) and its basis
-    vectors in input coordinates, p-integral Fractions, so that
-    basis^t G basis = block exactly.  The bases of all steps together form
-    a basis of Z_p^n (of Q^n for p None).
+    vectors in input coordinates, with basis^t G basis = block (mod p^K
+    with a prime p).  The bases of all steps form a basis of Z_p^n (of
+    Q^n for p None), so the split keeps solution counts.
     """
     n = len(gram)
-    work = [[Fraction(x) for x in row] for row in gram]
-    cols = [[Fraction(int(s == t)) for s in range(n)] for t in range(n)]
+    if p is None:
+        work = [[Fraction(x) for x in row] for row in gram]
+    else:  # a zero det gets p^3, and its sweep meets an all-zero block
+        mod = mod or p ** (valuation(determinant(gram) or 1, p) + 3)
+        work = [[x % mod for x in row] for row in gram]
+    cols = [[int(s == t) for s in range(n)] for t in range(n)]
     live = list(range(n))
-
-    def val(q):
-        if p is None:
-            return 0
-        return valuation(q.numerator, p) - valuation(q.denominator, p)
-
     while live:
-        # least valuation, then diagonal before off-diagonal, then index
-        best = min(((val(work[i][j]), i != j, i, j) for a, i in enumerate(live)
-                    for j in live[a:] if work[i][j]), default=None)
-        if best is None:
+        # least valuation v, then diagonal before off-diagonal, then index;
+        # hit(x) says that x has valuation v (nothing hits if g = 0)
+        g = p and gcd(*(gcd(*map(work[i].__getitem__, live)) for i in live))
+        v = valuation(g, p) if g else 0
+        hit = (p ** (v + 1)).__rmod__ if p else bool
+        i = j = next((i for i in live if hit(work[i][i])), None)
+        if i is None:
+            i, j = next(((i, j) for a, i in enumerate(live)
+                         for j in live[a + 1:] if hit(work[i][j])), (i, j))
+        if i is None:
             raise SingularMatrix(
                 f"form is degenerate over {'Q' if p is None else 'Z_p'}")
-        v, off, i, j = best
-        if off and p != 2:
-            for t in live:
-                work[t][i] += work[t][j]
-            for t in live:
-                work[i][t] += work[j][t]
-            cols[i] = [a + b for a, b in zip(cols[i], cols[j])]
-            assert val(work[i][i]) == v
-        pivot = (i, j) if off and p == 2 else (i,)
+        if i != j and p != 2:
+            work[i] = [a + b for a, b in zip(work[i], work[j])]
+            for row in work:
+                row[i] = (row[i] + row[j]) % mod if mod else row[i] + row[j]
+            cols[i] = [(a + b) % mod if mod else a + b
+                       for a, b in zip(cols[i], cols[j])]
+            assert hit(work[i][i])
+        pivot = (i, j) if i != j and p == 2 else (i,)
         block = tuple(tuple(work[a][b] for b in pivot) for a in pivot)
-        inv = ((1 / block[0][0],),) if len(pivot) == 1 else mat_inverse(block)
         live = [t for t in live if t not in pivot]
-        coeff = {t: mat_vec(inv, [work[q][t] for q in pivot]) for t in live}
+        ri, rj, pv = work[i], work[j], (p or 1) ** v
+        if p is None:
+            coeff = {t: (ri[t] / block[0][0],) for t in live}
+        elif len(pivot) == 1:
+            inv = pow(block[0][0] // pv, -1, mod)
+            coeff = {t: (ri[t] // pv * inv % mod,) for t in live}
+        else:  # U^-1 = adj(U) / det(U), det(U) odd
+            (a, b), (_, c) = ((x // pv for x in row) for row in block)
+            d = pow(a * c - b * b, -1, mod)
+            coeff = {t: ((c * x - b * y) * d % mod, (a * y - b * x) * d % mod)
+                     for t in live for x, y in [(ri[t] // pv, rj[t] // pv)]}
         nz = [t for t in live if any(coeff[t])]
         for a, s in enumerate(nz):
-            ws = [work[q][s] for q in pivot]
+            row, ws = work[s], [work[q][s] for q in pivot]
             for t in nz[a:]:
-                new = work[s][t]
-                for c, w in zip(coeff[t], ws):
-                    if c:
-                        new -= c * w
-                work[s][t] = work[t][s] = new
+                new = row[t] - sum(map(mul, coeff[t], ws))
+                row[t] = work[t][s] = new % mod if mod else new
         for t in nz:
+            new = cols[t]
             for c, q in zip(coeff[t], pivot):
-                if c:
-                    cols[t] = [x - c * y for x, y in zip(cols[t], cols[q])]
+                new = [x - c * y for x, y in zip(new, cols[q])]
+            cols[t] = [x % mod for x in new] if mod else new
         yield v, i, block, tuple(tuple(cols[q]) for q in pivot)
 
 

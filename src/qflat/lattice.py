@@ -149,9 +149,12 @@ def dual_lattice(lat: Lattice) -> Lattice:
     For a full-rank lattice this is the classical dual in the whole space;
     in general it is the dual inside span(L). The dual of the dual gives
     back L, and the index information is carried by invariant_factors.
+    A degenerate lattice raises DegenerateLattice.
     """
-    f = lat.induced_gram
-    inv = exact.mat_inverse(f)
+    try:
+        inv = exact.mat_inverse(lat.induced_gram)
+    except exact.SingularMatrix:
+        raise DegenerateLattice("no dual: singular Gram matrix") from None
     basis = exact.mat_mul(lat.basis, inv)
     return Lattice(lat.ambient, basis)
 

@@ -12,8 +12,8 @@ constants (`omega_interval`), interval zeta values (`zeta_interval`), and
 the structure results used to organize p-adic computations:
 `jordan_decompose_odd` for odd primes and `two_adic_split` at p = 2.
 All three p-adic results rest on one valuation sweep,
-`exact.congruence_split(gram, p)`, which splits a form over Z_p into
-pieces of rank <= 2 and their bases:
+`exact.congruence_split(gram, p, mod)`, which splits a form over Z_p
+into pieces of rank <= 2 and their bases, in integers mod p^K:
 densities reduce over the pieces level by level, the odd-p Jordan form
 sorts them, and the 2-adic split recombines them into hyperbolic-type
 blocks and an anisotropic remainder.
@@ -169,27 +169,20 @@ def _unit_count_mod1(nu, det_unit, p, m):
 # the reduction over the valuation sweep's pieces
 
 
-def _frac_mod(q, p, mod):
-    """Reduce a Fraction with a p-adic unit denominator modulo mod = p^K."""
-    den = q.denominator
-    if den % p == 0:
-        raise ValueError("denominator not a p-adic unit")
-    return (q.numerator * pow(den, -1, mod)) % mod
-
-
 def _reduce(a, mod):
     """The integer matrix a with every entry reduced modulo mod."""
     return tuple(tuple(x % mod for x in row) for row in a)
 
 
-def _sweep_pieces(gram, p):
+def _sweep_pieces(G, p):
     """The sweep's pieces p^e U, U a unit Gram matrix, as a Counter of
-    (e, rank, unit): unit is det U mod p at odd p and U mod 8 at p = 2."""
+    (e, rank, unit): unit is det U mod p at odd p and U mod 8 at p = 2,
+    read from the sweep mod q p^(v_p(det)), q = p or 8."""
     q = 8 if p == 2 else p
+    mod = q * p ** valuation(G.determinant, p)
     pieces = Counter()
-    for v, _, block, _ in congruence_split(gram, p):
-        unit = tuple(tuple(_frac_mod(x / p ** v, p, q) for x in row)
-                     for row in block)
+    for v, _, block, _ in congruence_split(G.matrix, p, mod):
+        unit = tuple(tuple(x // p ** v % q for x in row) for row in block)
         pieces[v, len(block), unit if p == 2 else unit[0][0]] += 1
     return pieces
 
@@ -260,7 +253,7 @@ def _level_density(G, p, m, k, method, budget):
         count = _reduction_count(Counter({(0, n, det % p): 1}), p, k, m, n)
     else:
         method = "jordan-blocks" if p % 2 else "two-adic-pieces"
-        count = _reduction_count(_sweep_pieces(G.matrix, p), p, k, m, n)
+        count = _reduction_count(_sweep_pieces(G, p), p, k, m, n)
     return Fraction(count, p ** (k * (n - 1))), method
 
 
@@ -360,27 +353,26 @@ def jordan_decompose_odd(G, p, K):
 
     Returns blocks sorted by exponent together with an integer transform
     T with T^t G T congruent to the block diagonal mod p^K.  Requires
-    p^K to exceed the square of the p-part of det(G); the elimination
-    itself is exact, so the requirement is a certification threshold,
-    not a numerical one.
+    p^K to exceed the square of the p-part of det(G), a certification
+    threshold, not a numerical one: the sweep runs mod p^(K + v_p(det)),
+    where its basis is exact mod p^K and its units mod p^(K - v).
     """
     G = GramForm.of(G)
     if p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime")
-    det = G.determinant
-    if K < 2 * valuation(det, p) + 1:
+    vdet = valuation(G.determinant, p)
+    if K < 2 * vdet + 1:
         raise PrecisionTooLow(
             f"p^K must exceed the square of the p-part of det; "
-            f"need K >= {2 * valuation(det, p) + 1}, got {K}"
+            f"need K >= {2 * vdet + 1}, got {K}"
         )
-    entries = sorted((v, i, block[0][0] / p ** v, col)
-                     for v, i, block, (col,) in congruence_split(G.matrix, p))
     mod = p ** K
+    entries = sorted((v, i, block[0][0] // p ** v, col) for v, i, block, (col,)
+                     in congruence_split(G.matrix, p, mod * p ** vdet))
     blocks = tuple(
-        JordanBlock(v, tuple(_frac_mod(e[2], p, mod) % p ** max(K - v, 1)
-                             for e in group))
+        JordanBlock(v, tuple(e[2] % p ** max(K - v, 1) for e in group))
         for v, group in groupby(entries, key=itemgetter(0)))
-    tmat = transpose([[_frac_mod(q, p, mod) for q in e[3]] for e in entries])
+    tmat = transpose([[q % mod for q in e[3]] for e in entries])
     _verify_congruence(G.matrix, tmat, [((p ** b.exponent * u,),)
                                         for b in blocks for u in b.units],
                        mod, "jordan")
@@ -415,13 +407,11 @@ def _two_adic_pieces(gram, vectors, mod):
     """The p = 2 sweep pieces of `gram` as (block, vectors) mod `mod`.
 
     `vectors` holds one input-coordinate vector per coordinate of `gram`;
-    each piece's vectors are its sweep basis mapped through them.
+    each piece's vectors are its sweep basis mapped through them.  The
+    det of `gram` is odd: every pivot has v = 0, and no digit is lost.
     """
-    def reduced(rows):
-        return tuple(tuple(_frac_mod(q, 2, mod) for q in row) for row in rows)
-
-    return [(reduced(block), _reduce(mat_mul(reduced(basis), vectors), mod))
-            for _, _, block, basis in congruence_split(gram, 2)]
+    return [(block, _reduce(mat_mul(basis, vectors), mod))
+            for _, _, block, basis in congruence_split(gram, 2, mod)]
 
 
 def _isotropic_mod8(S):

@@ -124,18 +124,18 @@ def siegel_rhs(G, m, prime_bound=10_000, *, bits=None):
     # the good-prime factor is p^h + sign * chi(a, p)
     sign = 1 if n % 2 else -1
     a = (-1) ** h * det * (m if n % 2 else 1)
-    nums, dens = [], []
+    nums, good, dens = [], [], []
     for p in _primes_up_to(prime_bound):
         if (2 * m * det) % p:
             chi = 1 if pow(a, p >> 1, p) == 1 else -1
-            q = p ** h
-            nums.append(q + sign * chi)
-            dens.append(q)
+            nums.append(p ** h + sign * chi)
+            good.append(p)
             continue
         d = local_density(G, p, m)
         nums.append(d.value.numerator)
         dens.append(d.value.denominator)
-    num, den = _product(nums), _product(dens)
+    # the good-prime denominators p^h multiply to (prod p)^h
+    num, den = _product(nums), _product(good) ** h * _product(dens)
     b = precision_bits(bits)
     top, bottom = eps.numerator * num << b, eps.denominator * den
     local = Interval(Fraction(top // bottom, 1 << b),

@@ -195,6 +195,19 @@ def test_congruence_split_rejects_a_degenerate_form():
         list(exact.congruence_split(((2, 2), (2, 2)), 2))
 
 
+def test_congruence_split_over_z_p_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction on a p-adic path")
+
+    monkeypatch.setattr(exact, "Fraction", no_fraction)
+    dense = tuple(tuple(2 * (i == j) + 1 for j in range(5)) for i in range(5))
+    for g in (orthogonal_sum(H, H, GramForm(((12,),))).matrix, dense):
+        for p in (2, 3, 5):
+            steps = list(exact.congruence_split(g, p))
+            assert all(isinstance(x, int) for _, _, block, basis in steps
+                       for rows in (block, basis) for row in rows for x in row)
+
+
 def test_clear_denominators_takes_the_least_multiplier():
     ints = ((2, -4), (6, 0))
     assert exact.clear_denominators(ints) == (ints, 1)

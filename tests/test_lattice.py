@@ -183,6 +183,13 @@ def test_saturate_rejects_a_degenerate_lattice(ambient, basis):
         saturate(lat)
 
 
+def test_dual_rejects_a_degenerate_lattice():
+    lat = Lattice(GramForm([[1, 0, 0], [0, -1, 0], [0, 0, 4]]),
+                  [[1, 0], [1, 0], [0, 1]])
+    with pytest.raises(DegenerateLattice, match="singular"):
+        dual_lattice(lat)
+
+
 def test_equality_by_span():
     f = identity_form(2)
     a = Lattice(f, [[1, 0], [0, 1]])

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_enumeration import random_unimodular, transformed
 
-from qflat.exact import congruence_split, determinant, valuation
+from qflat.exact import (congruence_split, determinant, mat_mul, transpose,
+                         valuation)
 from qflat.gram import (
     GramForm,
     e8_form,
@@ -21,7 +22,6 @@ from qflat.intervals import Interval, pi_interval
 from qflat.localform import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    _frac_mod,
     _legendre,
     _level_density,
     _unit_count_mod1,
@@ -332,12 +332,12 @@ def _piece_counts(block, p, k, reps):
     """Solution counts mod p^k of one sweep piece at each residue in reps."""
     mod = p ** k
     if len(block) == 1:
-        d = _frac_mod(block[0][0], p, mod)
+        d = block[0][0] % mod
         hits = Counter(d * x * x % mod for x in range(mod))
         return [hits[r] for r in reps]
     (a, b), (_, c) = block
-    e = valuation(b.numerator, 2) + 1
-    level1 = ((3, 1) if (a * c / 4 ** e).numerator % 2 == 0 else (1, 3))
+    e = valuation(b, 2) + 1
+    level1 = ((3, 1) if Fraction(a * c, 4 ** e).numerator % 2 == 0 else (1, 3))
     e = min(e, k)
     return [0 if r % 2 ** e else
             4 ** e * _unit_count(level1.__getitem__, 2, 2, k - e, r >> e)
@@ -373,7 +373,8 @@ def reference_level_density(G, p, m, k):
                             n, p, k, m)
         tag = "unit-formula"
     else:
-        blocks = [step[2] for step in congruence_split(G.matrix, p)]
+        mod = p ** (k + valuation(det, p) + 3)
+        blocks = [step[2] for step in congruence_split(G.matrix, p, mod)]
         count = _count_by_classes(blocks, p, k, m)
         tag = "jordan-blocks" if p % 2 else "two-adic-pieces"
     return Fraction(count, p ** (k * (n - 1))), tag
@@ -421,6 +422,76 @@ def test_reduction_matches_class_tables(case):
     for k in (k0, k0 + 1, k0 + 2):
         assert _level_density(G, p, m, k, "auto", DEFAULT_BUDGET) == \
             reference_level_density(G, p, m, k), k
+
+
+@st.composite
+def deep_sweep_cases(draw):
+    """(form, p, m): up to 4 pieces u p^e, p^e H and p^e ((2, 1), (1, 2))
+    with e <= 8 (2^e H and 2^e A2 at p = 2), in a random unimodular basis,
+    so that v_p(det) reaches 8 and beyond; m = w p^j, j <= 2."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    units = [u for u in range(-9, 16) if u % p]
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        e = draw(st.integers(0, 8))
+        kind = draw(st.sampled_from(("unit", "H", "A2")))
+        if kind == "unit":
+            rows = ((draw(st.sampled_from(units)) * p ** e,),)
+        else:
+            rows = tuple(tuple(p ** e * x for x in row) for row in
+                         (((0, 1), (1, 0)) if kind == "H"
+                          else ((2, 1), (1, 2))))
+        pieces.append(GramForm(rows))
+    G = orthogonal_sum(*pieces)
+    if G.n > 1:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        G = transformed(G, random_unimodular(G.n, rng))
+    return G, p, draw(st.sampled_from(units)) * p ** draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(deep_sweep_cases())
+def test_integer_sweep_at_the_minimal_modulus(case):
+    G, p, m = case
+    vdet = valuation(G.determinant, p)
+    d = 3 if p == 2 else 1
+    mod = p ** (vdet + d)
+
+    def steps(modulus):
+        return [(v, i, tuple(tuple(x % mod for x in row) for row in block),
+                 tuple(tuple(x % p ** d for x in vec) for vec in basis))
+                for v, i, block, basis
+                in congruence_split(G.matrix, p, modulus)]
+
+    low = steps(mod)
+    assert low == steps(mod * p ** 5) == steps(None)
+    assert sum(v * len(block) for v, _, block, _ in low) == vdet
+    # the basis is exact mod p^d: it carries G to each block mod p^d
+    for _, _, block, basis in low:
+        got = mat_mul(mat_mul(basis, G.matrix), transpose(basis))
+        assert all((x - y) % p ** d == 0 for r, s in zip(got, block)
+                   for x, y in zip(r, s))
+    if p != 2:  # the Jordan transform is exact mod p^K
+        K = 2 * vdet + 1
+        low, high = (jordan_decompose_odd(G, p, k) for k in (K, K + 5))
+        assert low.transform == tuple(tuple(x % p ** K for x in row)
+                                      for row in high.transform)
+    auto = local_density(G, p, m)
+    try:
+        count = local_density(G, p, m, method="count", budget=20_000)
+    except BudgetExceeded:
+        return
+    assert (auto.value, auto.k) == (count.value, count.k)
+
+
+def test_density_of_2i_plus_j_at_rank_93():
+    n = 93
+    G = GramForm(tuple(tuple(2 * (i == j) + 1 for j in range(n))
+                       for i in range(n)))
+    d = local_density(G, 5, 5)
+    assert (d.value, d.k, d.method) == (Fraction(
+        4038967834731580443708050254247751809089095331728458404541015624,
+        5 ** 91), 2, "jordan-blocks")
 
 
 # ---------------------------------------------------------------------------
