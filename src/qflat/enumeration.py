@@ -5,15 +5,16 @@ counts r(m), a represents-m predicate, the order of the integral
 automorphism group, orthogonal decomposition into indecomposable blocks,
 and representation fingerprints (r(1), ..., r(M)).
 
-All search is exact: coordinate brackets come from the rational Cholesky
-splitting of the Gram matrix, scaled so that every partial sum is an
-integer, so no vector is missed and none is counted twice.
+All search is exact: coordinate brackets come from the fraction-free
+positive definite split of the Gram matrix (exact.positive_split), in
+integers throughout, so no vector is missed and none is counted twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from fractions import Fraction
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .errors import BudgetExceeded
@@ -26,7 +27,7 @@ from .exact import (
     identity,
     mat_mul,
     mat_vec,
-    rational_cholesky,
+    positive_split,
     transpose,
 )
 from .gram import GramForm
@@ -49,22 +50,24 @@ def _walk(gram, bound, visit):
     contiguous range around the real minimum of the quadratic, so
     scanning outward and stopping at the first violation is exhaustive.
 
-    The split f(x) = sum_i d_i (x_i + c_i)^2 runs on integers: with den_i
-    the common denominator of row i of u and S one clearing every
-    d_i / den_i^2, S f(x) = sum_i w_i (den_i x_i + den_i c_i)^2.
+    The split f(x) = sum_i (r_i x)^2 / (D_i D_{i+1}) of positive_split
+    runs on integers: with row_i = r_i / g_i for g_i the content of r_i,
+    and S the least integer clearing every g_i^2 / (D_i D_{i+1}),
+    S f(x) = sum_i w_i (row_i x)^2 with integer weights w_i.
     """
-    d, u = rational_cholesky(gram)
-    n = len(d)
-    den = [common_denominator(u[i][i + 1:]) for i in range(n)]
-    scale = common_denominator(d[i] / den[i] ** 2 for i in range(n))
-    w = [int(scale * d[i] / den[i] ** 2) for i in range(n)]
-    rows = [[int(den[i] * u[i][j]) for j in range(n)] for i in range(n)]
+    minors, split = positive_split(gram)
+    n = len(split)
+    g = [gcd(*r) for r in split]
+    rows = [[x // g[i] for x in r] for i, r in enumerate(split)]
+    w = [Fraction(g[i] ** 2, minors[i] * minors[i + 1]) for i in range(n)]
+    scale = common_denominator(w)
+    w = [int(scale * wi) for wi in w]
     x = [0] * n
 
     def walk(i, remaining):
         if i < 0:
             return any(x) and visit(x, bound - remaining // scale)
-        row, di, wi = rows[i], den[i], w[i]
+        row, wi, di = rows[i], w[i], rows[i][i]
         c = 0
         for j in range(i + 1, n):
             if x[j]:
@@ -209,7 +212,7 @@ def _search(G, dim_limit):
     try:
         pairs = _vectors_up_to(gram, gram[-1][-1])
     except NotPositiveDefinite:
-        rational_cholesky(G.matrix)  # names the pivot in the input basis
+        positive_split(G.matrix)  # names the pivot in the input basis
         raise
     half = [pair for pair in _canonical(pairs) if pair[1] in norms]
     H, vecs = len(half), [v for v, _ in half]

@@ -2,15 +2,15 @@
 
 Matrices are immutable tuples of row tuples and vectors are plain tuples.
 Entries are Python ints or fractions.Fraction, so nothing here ever rounds.
-The module supplies the kernel every higher layer leans on: one forward
-Gaussian elimination (rank, inverses and span coordinates) and its
-pivot-free symmetric form (the enumerator's rational Cholesky split),
-Bareiss's fraction-free elimination for determinants, one symmetric
-congruence split (signatures over Q in Fractions, and in integers mod
-p^K the p-adic pieces behind local densities and Jordan forms), and one
-integer reduction, the canonical row Hermite form, from which come the
-Hermite bases of lattice spans, the Smith invariant factors and
-saturated integral kernels.
+The module supplies the kernel every higher layer leans on: one
+elimination, Bareiss's fraction-free one on integer rows, for
+determinants, rank, inverses, span coordinates and the enumerator's
+positive definite split; one symmetric congruence split (signatures
+over Q in Fractions, and in integers mod p^K the p-adic pieces behind
+local densities and Jordan forms), the only elimination on Fractions;
+and one integer reduction, the canonical row Hermite form, from which
+come the Hermite bases of lattice spans, the Smith invariant factors
+and saturated integral kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 
 class NotPositiveDefinite(ValueError):
-    """A symmetric matrix handed to the Cholesky split was not positive definite."""
+    """positive_split met a symmetric matrix that is not positive definite."""
 
 
 class SingularMatrix(ValueError):
@@ -45,8 +45,8 @@ def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def identity(n: int, one=1) -> Matrix:
-    return tuple(tuple(one if i == j else 0 * one for j in range(n)) for i in range(n))
+def identity(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -97,27 +97,33 @@ def common_denominator(values) -> int:
 def clear_denominators(a: Matrix) -> tuple[Matrix, int]:
     """(d a, d) for the least positive integer d making the matrix a
     integral; d a has int entries. A vector passes as a one-row matrix."""
+    if all(type(x) is int for row in a for x in row):
+        return tuple(map(tuple, a)), 1
     d = common_denominator(x for row in a for x in row)
     return tuple(tuple(int(x * d) for x in row) for row in a), d
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over the rationals
+# Bareiss's fraction-free elimination
 # ---------------------------------------------------------------------------
 
 
-def _forward(rows: list, ncols: int) -> list:
-    """Row-reduce `rows` in place to echelon form on the first ncols columns.
+def _forward(rows: list, ncols: int) -> tuple[list, list]:
+    """Bareiss's fraction-free elimination (Math. Comp. 22, 1968) of int
+    `rows`, in place, to echelon form on the first ncols columns.
 
-    Rows are lists of Fractions and may run past ncols (augmented
-    columns follow along). The pivot is the first nonzero entry at or
-    below the current row; zero multipliers and zero pivot-row entries are
-    skipped, which keeps sparse inputs cheap. Entries below a pivot are
-    left stale, as nothing reads them. Returns the pivot columns (pivot r
-    sits in row r).
+    Rows may run past ncols (augmented columns follow along). The pivot
+    is the first nonzero entry at or below the current row, and entries
+    below it become 0. Each row below is set to (top row - f prow) / prev
+    for the pivot top, the row's entry f under it and the previous pivot
+    prev (1 at first); a row with f = 0 is skipped when top = prev. Every
+    division is exact: each live entry (i, j) is then the minor of the
+    input on the pivot rows and row i by the pivot columns and column j.
+    Returns the pivot columns (pivot r sits in row r) and the steps at
+    which rows were swapped.
     """
-    pivots = []
-    nrows = len(rows)
+    pivots, swaps = [], []
+    nrows, prev = len(rows), 1
     for col in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, nrows) if rows[i][col]), None)
@@ -125,78 +131,61 @@ def _forward(rows: list, ncols: int) -> list:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            swaps.append(r)
         prow = rows[r]
-        inv = 1 / prow[col]
-        nz = [j for j in range(col + 1, len(prow)) if prow[j]]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            if row[col]:
-                f = row[col] * inv
-                for j in nz:
-                    row[j] -= f * prow[j]
-        pivots.append(col)
-    return pivots
-
-
-def _back_substitute(rows: list, pivots: list) -> None:
-    """Turn echelon rows from _forward into reduced echelon form in place."""
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        prow = rows[r]
-        nz = [j for j in range(col, len(prow)) if prow[j]]
-        inv = 1 / prow[col]
-        for j in nz:
-            prow[j] *= inv
-        for i in range(r):
-            row = rows[i]
+        top = prow[col]
+        for row in rows[r + 1:]:
             f = row[col]
             if f:
-                for j in nz:
-                    row[j] -= f * prow[j]
+                row[col:] = [(top * x - f * y) // prev
+                             for x, y in zip(row[col:], prow[col:])]
+            elif top != prev:
+                row[col + 1:] = [top * x // prev for x in row[col + 1:]]
+        pivots.append(col)
+        prev = top
+    return pivots, swaps
 
 
-def _fraction_rows(a: Matrix, extra=None) -> list:
-    rows = [[Fraction(x) for x in row] for row in a]
-    if extra is not None:
-        for row, tail in zip(rows, extra):
-            row.extend(Fraction(x) for x in tail)
-    return rows
+def _back_substitute(rows: list, ncols: int):
+    """(D, Y) for echelon rows from _forward with a pivot in each of the
+    first ncols columns: D is the last pivot and Y[r] the int row D x_r,
+    for x solving the system with the augmented columns (past ncols) as
+    right-hand sides. D is, up to sign, the minor of the input on the
+    pivot rows, so D x is integral (Cramer's rule) and each division is
+    exact.
+    """
+    D = rows[ncols - 1][ncols - 1] if ncols else 1
+    Y = [None] * ncols
+    for r in range(ncols - 1, -1, -1):
+        row = rows[r]
+        acc = [D * y for y in row[ncols:]]
+        for s in range(r + 1, ncols):
+            if f := row[s]:
+                acc = [a - f * b for a, b in zip(acc, Y[s])]
+        Y[r] = [a // row[r] for a in acc]
+    return D, Y
 
 
 def determinant(a: Matrix):
-    """Exact determinant; an int for integer input, else a Fraction.
-
-    Bareiss's fraction-free elimination (Math. Comp. 22, 1968), with row
-    swaps, on d a for d the common denominator, divided by d^n: every
-    entry is a minor of d a, so each division by the last pivot is exact.
-    """
+    """Exact determinant; an int for integer input, else a Fraction: the
+    last pivot of _forward on d a, signed by the swaps, over d^n for d
+    the common denominator."""
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
     ints = all(isinstance(x, int) for row in a for x in row)
     b, d = (a, 1) if ints else clear_denominators(a)
     rows = [list(row) for row in b]
-    sign = prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            return 0 if ints else Fraction(0)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        prow, top = rows[k], rows[k][k]
-        for row in rows[k + 1:]:
-            f = row[k]
-            if f or top != prev:
-                row[k + 1:] = [(top * x - f * y) // prev
-                               for x, y in zip(row[k + 1:], prow[k + 1:])]
-        prev = top
-    return sign * prev if ints else Fraction(sign * prev, d ** n)
+    pivots, swaps = _forward(rows, n)
+    det = (0 if len(pivots) < n
+           else (-1) ** len(swaps) * (rows[-1][-1] if n else 1))
+    return det if ints else Fraction(det, d ** n)
 
 
 def rank(a: Matrix) -> int:
     """Rank over the rationals."""
-    return len(_forward(_fraction_rows(a), shape(a)[1]))
+    rows = [list(row) for row in clear_denominators(a)[0]]
+    return len(_forward(rows, shape(a)[1])[0])
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -204,26 +193,53 @@ def mat_inverse(a: Matrix) -> Matrix:
     n, m = shape(a)
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    rows = _fraction_rows(a, identity(n))
-    pivots = _forward(rows, n)
-    if len(pivots) < n:
+    b, _ = clear_denominators(tuple((*r, *e) for r, e in zip(a, identity(n))))
+    rows = [list(row) for row in b]
+    if len(_forward(rows, n)[0]) < n:
         raise SingularMatrix("matrix is singular")
-    _back_substitute(rows, pivots)
-    return freeze(row[n:] for row in rows)
+    D, Y = _back_substitute(rows, n)
+    return freeze((Fraction(y, D) for y in row) for row in Y)
 
 
 def span_coordinates(a: Matrix, b: Sequence):
     """x with a x = b for a with independent columns, or None when b lies
     outside the column span; raises SingularMatrix on dependent columns."""
     cols = shape(a)[1]
-    rows = _fraction_rows(a, ((x,) for x in b))
-    pivots = _forward(rows, cols)
-    if len(pivots) < cols:
+    ab, _ = clear_denominators(tuple((*row, x) for row, x in zip(a, b)))
+    rows = [list(row) for row in ab]
+    if len(_forward(rows, cols)[0]) < cols:
         raise SingularMatrix("columns are dependent")
     if any(row[cols] for row in rows[cols:]):
         return None
-    _back_substitute(rows, pivots)
-    return tuple(row[cols] for row in rows[:cols])
+    D, Y = _back_substitute(rows, cols)
+    return tuple(Fraction(y[0], D) for y in Y)
+
+
+def positive_split(g: Matrix) -> tuple[tuple, Matrix]:
+    """(minors, rows) for a symmetric positive definite int matrix g, the
+    split behind the enumerator's coordinate-by-coordinate bounds.
+
+    minors = (1, D_1, ..., D_n) are the leading principal minors and rows
+    is _forward's echelon form of g: rows[k] is 0 left of k, rows[k][k] =
+    D_{k+1}, and g(x) = sum_k (rows[k] x)^2 / (D_k D_{k+1}). By
+    Sylvester's criterion the first step k that swaps rows, finds no
+    pivot in column k, or finds a pivot <= 0 raises NotPositiveDefinite,
+    naming the LDL pivot D_{k+1} / D_k (0 after a swap).
+    """
+    if not is_symmetric(g):
+        raise ValueError("expected a symmetric square matrix")
+    rows = [list(row) for row in g]
+    _, swaps = _forward(rows, len(rows))
+    minors = [1]
+    for k, row in enumerate(rows):
+        # a step k without a pivot in column k leaves row[k] = 0
+        top = 0 if k in swaps else row[k]
+        if top <= 0:
+            raise NotPositiveDefinite(
+                "form is not positive definite "
+                f"(pivot {Fraction(top, minors[k])} at index {k})")
+        minors.append(top)
+    return tuple(minors), freeze(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +333,7 @@ def kernel_basis_int(a: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric congruence: the valuation split and the rational Cholesky split
+# Symmetric congruence: the valuation split
 # ---------------------------------------------------------------------------
 
 
@@ -417,30 +433,3 @@ def congruence_split(gram: Matrix, p: int | None = None,
             cols[t] = [x % mod for x in new] if mod else new
         yield v, i, block, tuple(tuple(cols[q]) for q in pivot)
 
-
-def rational_cholesky(g: Matrix) -> tuple[tuple, Matrix]:
-    """Split a symmetric positive definite matrix as g = u^T diag(d) u.
-
-    A plain LDL in index order: u is unit upper triangular and every
-    entry is an exact Fraction. The split underlies the enumerator's
-    coordinate-by-coordinate bounds. The first nonpositive pivot aborts
-    with NotPositiveDefinite.
-    """
-    if not is_symmetric(g):
-        raise ValueError("expected a symmetric square matrix")
-    w = [[Fraction(x) for x in row] for row in g]
-    d, u = [], []
-    for i, wi in enumerate(w):
-        piv = wi[i]
-        if piv <= 0:
-            raise NotPositiveDefinite(
-                f"form is not positive definite (pivot {piv} at index {i})")
-        ui = [Fraction(0)] * i + [x / piv for x in wi[i:]]
-        nz = [k for k in range(i + 1, len(wi)) if wi[k]]
-        for a, j in enumerate(nz):
-            wj = w[j]
-            for k in nz[a:]:
-                wj[k] -= ui[j] * wi[k]
-        d.append(piv)
-        u.append(tuple(ui))
-    return tuple(d), tuple(u)

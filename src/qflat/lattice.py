@@ -64,11 +64,6 @@ class Lattice:
             for x in row
         )
 
-    def induced_gram_form(self) -> GramForm:
-        if not self.is_classically_integral:
-            raise NotClassicallyIntegral("induced Gram matrix is not integral")
-        return GramForm([[int(x) for x in row] for row in self.induced_gram])
-
     @cached_property
     def canonical_key(self):
         """(Hermite form of dL, least d with dL integral), unique per span."""

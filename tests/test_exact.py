@@ -130,15 +130,15 @@ def test_hermite_form_rejects_non_integral_entries():
 
 
 def test_cholesky_identity():
-    d, u = exact.rational_cholesky(exact.identity(3))
-    assert d == (1, 1, 1)
-    assert u == exact.identity(3, Fraction(1))
+    minors, rows = exact.positive_split(exact.identity(3))
+    assert minors == (1, 1, 1, 1)
+    assert rows == exact.identity(3)
 
 
 def test_cholesky_small_example():
-    d, u = exact.rational_cholesky(exact.freeze([[2, 1], [1, 2]]))
-    assert d == (Fraction(2), Fraction(3, 2))
-    assert u[0][1] == Fraction(1, 2)
+    minors, rows = exact.positive_split(exact.freeze([[2, 1], [1, 2]]))
+    assert minors == (1, 2, 3)
+    assert rows == ((2, 1), (0, 3))
 
 
 def test_cholesky_reconstructs():
@@ -149,23 +149,21 @@ def test_cholesky_reconstructs():
         g = exact.mat_mul(exact.transpose(exact.freeze(b)), exact.freeze(b))
         if exact.determinant(g) == 0:
             continue
-        d, u = exact.rational_cholesky(g)
-        diag = tuple(
-            tuple(d[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)
-        )
-        back = exact.mat_mul(exact.mat_mul(exact.transpose(u), diag), u)
-        assert all(
-            Fraction(g[i][j]) == back[i][j] for i in range(n) for j in range(n)
-        )
+        minors, rows = exact.positive_split(g)
+        back = [[sum(Fraction(rows[k][i] * rows[k][j],
+                              minors[k] * minors[k + 1]) for k in range(n))
+                 for j in range(n)] for i in range(n)]
+        assert all(g[i][j] == back[i][j] for i in range(n) for j in range(n))
 
 
 def test_cholesky_rejects_indefinite():
-    with pytest.raises(exact.NotPositiveDefinite):
-        exact.rational_cholesky(exact.freeze([[1, 2], [2, 1]]))
-    # index-order LDL: no fold turns the zero pivot of H into 2
+    with pytest.raises(exact.NotPositiveDefinite,
+                       match=r"\(pivot -3 at index 1\)$"):
+        exact.positive_split(exact.freeze([[1, 2], [2, 1]]))
+    # index-order split: no fold turns the zero pivot of H into 2
     with pytest.raises(exact.NotPositiveDefinite,
                        match=r"\(pivot 0 at index 0\)$"):
-        exact.rational_cholesky(((0, 1), (1, 0)))
+        exact.positive_split(((0, 1), (1, 0)))
 
 
 @pytest.mark.parametrize("g, signature", [
@@ -262,7 +260,7 @@ def test_kernel_basis():
 def test_inverse_and_solve():
     a = exact.freeze([[2, 1], [1, 2]])
     inv = exact.mat_inverse(a)
-    assert exact.mat_mul(a, inv) == exact.identity(2, Fraction(1))
+    assert exact.mat_mul(a, inv) == exact.identity(2)
     x = exact.span_coordinates(a, (1, 0))
     assert x == (Fraction(2, 3), Fraction(-1, 3))
     with pytest.raises(exact.SingularMatrix):

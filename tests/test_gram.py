@@ -113,9 +113,9 @@ def test_orthogonal_sum_structure():
 
 def test_e8_minimal_sanity():
     g = e8_form()
-    # positive definite via exact Cholesky
-    d, _ = exact.rational_cholesky(g.matrix)
-    assert all(x > 0 for x in d)
+    # positive definite by Sylvester's criterion: leading minors positive
+    minors, _ = exact.positive_split(g.matrix)
+    assert all(x > 0 for x in minors)
 
 
 def test_form_hash_stability():

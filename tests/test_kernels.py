@@ -1,11 +1,12 @@
 """Property tests for the shared exact kernels, with sympy as the oracle.
 
-One forward elimination serves determinant, rank, inverse and span
-(lattice) coordinates; one symmetric congruence elimination serves the
-signature and the rational Cholesky split; one Fincke-Pohst walk serves
-counting and the represents-m predicate; trial division finds the
-square primes that saturation needs.  Matrices are drawn integer and
-rational, singular and rank-deficient ones included; symmetric ones
+One fraction-free (Bareiss) elimination serves determinant, rank,
+inverse, span (lattice) coordinates and the enumerator's positive
+definite split; one symmetric congruence elimination serves the
+signature; one Fincke-Pohst walk serves counting and the represents-m
+predicate; trial division finds the square primes that saturation
+needs.  Matrices are drawn integer and rational, singular,
+rank-deficient, zero-led and tall sparse ones included; symmetric ones
 include indefinite forms with zero diagonals, such as sums of H.
 """
 
@@ -106,13 +107,49 @@ def test_determinant_matches_sympy(a):
 
 
 @SETTINGS
-@given(matrices(square=False))
+@given(st.one_of(matrices(square=False), zero_leading_pivots()))
 def test_rank_matches_sympy(a):
     assert exact.rank(a) == _sym(a).rank()
 
 
+@st.composite
+def scaled_incidence(draw):
+    """(vertices, edges, rows): the rows (e_i - e_j) s of a random graph's
+    edges ij, each scaled by a random nonzero Fraction s.  Tall and
+    sparse, so most multipliers in an elimination are zero."""
+    v = draw(st.integers(2, 12))
+    edge = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1))
+    edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=3 * v))
+    scale = st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1),
+                      st.integers(1, 4))
+    rows = []
+    for i, j in edges:
+        s = draw(scale)
+        rows.append(tuple(s * ((k == i) - (k == j)) for k in range(v)))
+    return v, edges, tuple(rows)
+
+
 @SETTINGS
-@given(matrices(), st.lists(small_rat, min_size=5, max_size=5))
+@given(scaled_incidence())
+def test_rank_of_scaled_incidence_rows(case):
+    v, edges, a = case
+    root = list(range(v))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for i, j in edges:
+        root[find(i)] = find(j)
+    components = len({find(k) for k in range(v)})
+    assert exact.rank(a) == v - components
+
+
+@SETTINGS
+@given(st.one_of(matrices(), zero_leading_pivots()),
+       st.lists(small_rat, min_size=8, max_size=8))
 def test_inverse_and_solve_match_sympy(a, b):
     n = len(a)
     b = b[:n]
@@ -192,15 +229,19 @@ def test_cholesky_matches_leading_minors(a):
     bad = next((k for k in range(n) if minors[k + 1] <= 0), None)
     if bad is not None:
         try:
-            exact.rational_cholesky(a)
+            exact.positive_split(a)
         except exact.NotPositiveDefinite as err:
-            assert f"at index {bad})" in str(err)
+            pivot = Fraction(minors[bad + 1], minors[bad])
+            assert str(err).endswith(f"(pivot {pivot} at index {bad})")
             return
         raise AssertionError("non-positive form not rejected")
-    d, u = exact.rational_cholesky(a)
-    assert d == tuple(minors[k + 1] / minors[k] for k in range(n))
-    L, _ = _sym(a).LDLdecomposition(hermitian=False)
-    assert all(u[i][j] == _frac(L[j, i]) for i in range(n) for j in range(n))
+    got, rows = exact.positive_split(a)
+    assert got == tuple(minors)
+    L, D = _sym(a).LDLdecomposition(hermitian=False)
+    assert all(Fraction(got[k + 1], got[k]) == _frac(D[k, k])
+               for k in range(n))
+    assert all(Fraction(rows[i][j], rows[i][i]) == _frac(L[j, i])
+               for i in range(n) for j in range(n))
 
 
 @st.composite
