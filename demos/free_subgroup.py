@@ -7,12 +7,15 @@ Dirichlet half-spaces: from the base point x^2 + xy + y^2, the points
 nearer s(base) than the base for s = g1^(+-m), g2^(+-m).  Six integer
 inequalities on their normals show the four half-spaces disjoint, and
 each power maps the complement of its inverse's half-space into its own.
+Each generator's axis is the line of H^2 orthogonal to its integer
+normal c, the kernel of A - det A.
 
 Run as `python3 demos/free_subgroup.py`.
 """
 
-from qflat.pingpong import (LABELS, schottky_certify, symmetric_square,
-                            translation_axis, translation_length)
+from qflat.exact import determinant
+from qflat.pingpong import (LABELS, axis_normal, schottky_certify,
+                            symmetric_square, translation_length)
 
 
 def main():
@@ -25,13 +28,12 @@ def main():
 
     for name, g in (("g1", g1), ("g2", g2)):
         length = translation_length(g)
-        axis = translation_axis(g)
+        c = axis_normal(g)
+        t = sum(g[i][i] for i in range(3)) - determinant(g)
         print(f"\n{name}: translation length in "
               f"[{float(length.lo):.12f}, {float(length.hi):.12f}]")
-        ray = ", ".join(str(c) for c in axis.attracting)
-        print(f"    attracting ray ({ray})")
-        print(f"    eigenvalue {axis.eigenvalue} "
-              f"(field disc {axis.field_disc})")
+        print(f"    axis (x, {c}) = 0")
+        print(f"    eigenvalues nu, 1/nu with nu + 1/nu = {t}")
 
     cert = schottky_certify(g1, g2, m_max=20)
     print(f"\nping-pong table found at m = {cert.m}")

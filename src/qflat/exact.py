@@ -166,20 +166,27 @@ def _back_substitute(rows: list, ncols: int):
     return D, Y
 
 
+def int_determinant(a: Matrix) -> int:
+    """Determinant of a square int matrix, which is not checked: the last
+    pivot of _forward, signed by the swaps."""
+    n = len(a)
+    rows = [list(row) for row in a]
+    pivots, swaps = _forward(rows, n)
+    if len(pivots) < n:
+        return 0
+    return (-1) ** len(swaps) * (rows[-1][-1] if n else 1)
+
+
 def determinant(a: Matrix):
     """Exact determinant; an int for integer input, else a Fraction: the
-    last pivot of _forward on d a, signed by the swaps, over d^n for d
-    the common denominator."""
+    int_determinant of d a over d^n for d the common denominator."""
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    ints = all(isinstance(x, int) for row in a for x in row)
-    b, d = (a, 1) if ints else clear_denominators(a)
-    rows = [list(row) for row in b]
-    pivots, swaps = _forward(rows, n)
-    det = (0 if len(pivots) < n
-           else (-1) ** len(swaps) * (rows[-1][-1] if n else 1))
-    return det if ints else Fraction(det, d ** n)
+    if all(isinstance(x, int) for row in a for x in row):
+        return int_determinant(a)
+    b, d = clear_denominators(a)
+    return Fraction(int_determinant(b), d ** n)
 
 
 def rank(a: Matrix) -> int:

@@ -57,7 +57,8 @@ class GramForm:
 
     @cached_property
     def determinant(self) -> int:
-        d = exact.determinant(self.matrix)
+        # __init__ has checked the matrix square and integral
+        d = exact.int_determinant(self.matrix)
         if d == 0:
             raise SingularFormError("form is degenerate")
         return d

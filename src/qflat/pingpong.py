@@ -4,12 +4,12 @@ isometries.
 Hyperbolicity and translation length are certified through exact integer
 traces of matrix powers, valid for isometries of forms with one negative
 eigenvalue.  In the 3-dimensional binary-forms model the trace also
-classifies: A has eigenvalues det A, nu and 1/nu, and is hyperbolic
-exactly when |tr A - det A| > 2.  Its axis is the plane orthogonal to the
-integer kernel of A - det A, and its rays are returned exactly in a real
-quadratic field.  The Schottky certificate needs no boundary at all: one
-base point and four integer normals, the Dirichlet half-spaces of the
-powered generators, decide ping-pong by integer inequalities.
+classifies: A has eigenvalues det A, nu and 1/nu with nu + 1/nu =
+tr A - det A, and is hyperbolic exactly when |tr A - det A| > 2.  Its
+axis is the plane orthogonal to the primitive integer kernel of
+A - det A.  The Schottky certificate needs no boundary at all: one base
+point and four integer normals, the Dirichlet half-spaces of the powered
+generators, decide ping-pong by integer inequalities.
 """
 
 from __future__ import annotations
@@ -77,104 +77,6 @@ def symmetric_square(M):
 
 
 # ---------------------------------------------------------------------------
-# exact real quadratic numbers
-
-
-def _split_square(d):
-    f, rest, k = 1, d, 2
-    while k * k <= rest:
-        while rest % (k * k) == 0:
-            rest //= k * k
-            f *= k
-        k += 1
-    return f, rest
-
-
-@dataclass(frozen=True)
-class QuadraticNumber:
-    """Exact element a + b*sqrt(d) of a real quadratic field."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    @staticmethod
-    def make(a, b=0, d=0):
-        a, b = Fraction(a), Fraction(b)
-        if d < 0:
-            raise ValueError("d must be nonnegative")
-        f, rest = _split_square(d)
-        b, d = b * f, rest
-        if d <= 1:
-            a, b, d = a + b * d, Fraction(0), 0
-        if b == 0:
-            d = 0
-        return QuadraticNumber(a, b, d)
-
-    def _coerce(self, other):
-        if isinstance(other, QuadraticNumber):
-            if self.d and other.d and self.d != other.d:
-                raise ValueError("mixed quadratic fields")
-            return other
-        return QuadraticNumber.make(Fraction(other))
-
-    @property
-    def is_rational(self):
-        return self.b == 0
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return QuadraticNumber.make(self.a + o.a, self.b + o.b,
-                                    self.d or o.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        d = self.d or o.d
-        return QuadraticNumber.make(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        norm = o.a * o.a - o.b * o.b * (self.d or o.d)
-        if norm == 0:
-            raise ZeroDivisionError
-        return self * QuadraticNumber.make(o.a / norm, -o.b / norm,
-                                           self.d or o.d)
-
-    def sign(self):
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        head = (self.a > 0) - (self.a < 0)
-        body = self.a * self.a - self.b * self.b * self.d
-        return head * ((body > 0) - (body < 0))
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
-# ---------------------------------------------------------------------------
 # translation length via integer traces
 
 
@@ -191,7 +93,10 @@ def translation_length(g, k=256, *, bits=None):
     exact trace of g^k pins e^(k*length) between integers, and a higher
     level k gives a narrower interval.
     Raises NotHyperbolic when the trace at that level stays in the
-    unit-circle range.
+    unit-circle range.  A returned interval is certified at any size N,
+    but NotHyperbolic is a proof only at N = 3, until an exact test of
+    the characteristic polynomial (Kronecker's theorem) replaces the
+    trace bound: for N > 3 it shows only lam^k < 2N.
     """
     A = _matrix_of(g)
     n = len(A)
@@ -261,8 +166,12 @@ def _trace_rule(A):
     return t, det
 
 
-def _axis_normal(A):
+def axis_normal(g):
     """Primitive integer c spanning ker(A - det A) for a hyperbolic A.
+
+    g is a matrix or an Isometry, with int or Fraction entries, acting on
+    the binary-forms model; anything else raises UnsupportedBoundary, and
+    a g that is not hyperbolic raises NotHyperbolic by the trace rule.
 
     For a nu-eigenvector v, (c, v) = (A c, A v) = det A * nu * (c, v) and
     det A * nu != 1, so the axis of A is the plane orthogonal to c.  Two
@@ -270,57 +179,14 @@ def _axis_normal(A):
     (a shared endpoint) exactly when that span is degenerate:
     (c1, c2)^2 = (c1, c1)(c2, c2).
     """
+    A = _matrix_of(g)
+    _require_disc_isometry(A)
     _, det = _trace_rule(A)
     m, _ = clear_denominators(tuple(
         tuple(x - (det if i == j else 0) for j, x in enumerate(row))
         for i, row in enumerate(A)))
     (c,) = transpose(kernel_basis_int(m))
     return c
-
-
-@dataclass(frozen=True)
-class AxisRays:
-    """Attracting and repelling light rays of a hyperbolic isometry."""
-
-    attracting: tuple
-    repelling: tuple
-    eigenvalue: QuadraticNumber
-    field_disc: int
-
-
-def _eigenray(A, lam):
-    """The light ray ker(A - lam) of a simple eigenvalue lam, scaled so
-    its first nonzero coordinate is 1.  A - lam has rank 2, so the cross
-    product of two independent rows spans the kernel."""
-    rows = [[QuadraticNumber.make(x) - (lam if i == j else 0)
-             for j, x in enumerate(row)] for i, row in enumerate(A)]
-    crosses = ((u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0]) for u, v in combinations(rows, 2))
-    ray = next(r for r in crosses if any(x.sign() for x in r))
-    lead = next(x for x in ray if x.sign())
-    ray = tuple(x / lead for x in ray)
-    assert (ray[1] * ray[1] - 4 * ray[0] * ray[2]).sign() == 0
-    image = mat_vec(A, ray)
-    assert all((y - lam * x).sign() == 0 for x, y in zip(ray, image))
-    return ray
-
-
-def translation_axis(g):
-    """Exact axis endpoints of a hyperbolic isometry of the binary model.
-
-    With t = tr A - det A (see _trace_rule) the dominant eigenvalue is
-    nu = (t + sgn(t) sqrt(t^2 - 4))/2 and the other light eigenvalue is
-    t - nu = 1/nu, so both rays have coordinates in Q(sqrt(t^2 - 4)).
-    Each ray is certified isotropic and an eigenvector of A.
-    """
-    A = _matrix_of(g)
-    _require_disc_isometry(A)
-    t, _ = _trace_rule(A)
-    n, q = t.numerator, t.denominator
-    nu = QuadraticNumber.make(Fraction(n, 2 * q),
-                              Fraction(1 if t > 0 else -1, 2 * q),
-                              n * n - 4 * q * q)
-    return AxisRays(_eigenray(A, nu), _eigenray(A, t - nu), nu, nu.d)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +288,10 @@ def schottky_certify(g1, g2, m_max=20):
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     A1, A2 = _matrix_of(g1), _matrix_of(g2)
+    # both isometry checks run before either trace rule
     _require_disc_isometry(A1)
     _require_disc_isometry(A2)
-    c1, c2 = _axis_normal(A1), _axis_normal(A2)
+    c1, c2 = axis_normal(A1), axis_normal(A2)
     f = binary_disc_form()
     if f.inner(c1, c2) ** 2 == f.value(c1) * f.value(c2):
         raise SharedEndpoint("the axes share a boundary ray")

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflat.exact import freeze, identity, mat_inverse, mat_mul, mat_vec, transpose
+from qflat.exact import (determinant, freeze, identity, mat_inverse, mat_mul,
+                         mat_vec, primitive_part, transpose)
 from qflat.gram import GramForm, hyperbolic_plane, orthogonal_sum
 from qflat.hyperbolic import (cartan_involution, hyperbolic_distance,
                               reflection_matrix, sheet_point)
 from qflat.intervals import Interval, acosh_interval
-from qflat.pingpong import (LABELS, NotHyperbolic, QuadraticNumber,
-                            _mat_pow, SchottkyCertificate, SearchExhausted,
-                            SharedEndpoint, UnsupportedBoundary,
+from qflat.pingpong import (LABELS, NotHyperbolic, _mat_pow,
+                            SchottkyCertificate, SearchExhausted,
+                            SharedEndpoint, UnsupportedBoundary, axis_normal,
                             binary_disc_form, free_words_audit,
                             schottky_certify, symmetric_square,
-                            translation_axis, translation_length)
+                            translation_length)
 
 M1 = ((2, 1), (1, 1))
 M2 = ((1, 1), (1, 2))
@@ -26,39 +27,6 @@ M2 = ((1, 1), (1, 2))
 
 def overlap(x, y):
     return not (x.hi < y.lo or y.hi < x.lo)
-
-
-class TestQuadraticNumber:
-    def test_square_part_folds_into_coefficient(self):
-        x = QuadraticNumber.make(0, 1, 8)
-        assert (x.a, x.b, x.d) == (0, 2, 2)
-
-    def test_perfect_square_radicand_becomes_rational(self):
-        x = QuadraticNumber.make(1, 3, 4)
-        assert x.is_rational and x.a == 7
-
-    def test_golden_ratio_satisfies_its_equation(self):
-        phi = QuadraticNumber.make(Fraction(1, 2), Fraction(1, 2), 5)
-        assert (phi * phi - phi - 1).sign() == 0
-
-    def test_division_inverts_multiplication(self):
-        x = QuadraticNumber.make(2, -3, 7)
-        y = QuadraticNumber.make(Fraction(1, 3), Fraction(1, 5), 7)
-        assert ((x / y) * y - x).sign() == 0
-
-    def test_sign_with_mixed_coefficients(self):
-        assert QuadraticNumber.make(3, -1, 5).sign() == 1
-        assert QuadraticNumber.make(2, -1, 5) .sign() == -1
-        assert QuadraticNumber.make(-2, 1, 5).sign() == 1
-        assert QuadraticNumber.make(-3, 1, 5).sign() == -1
-
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticNumber.make(1, 1, 5) + QuadraticNumber.make(1, 1, 2)
-
-    def test_rational_coerces_into_any_field(self):
-        x = QuadraticNumber.make(1, 1, 5) + 2
-        assert (x.a, x.b, x.d) == (3, 1, 5)
 
 
 class TestSymmetricSquare:
@@ -154,86 +122,170 @@ class TestTranslationLength:
         assert overlap(length, acosh_interval(Interval(Fraction(7, 2))))
 
 
+BASE = (1, 1, 1)
+
+
+def trace_t(g):
+    """t = tr A - det A, so that nu + 1/nu = t for the eigenvalues
+    det A, nu, 1/nu of a binary-model isometry A."""
+    A = freeze(g)
+    return sum(A[i][i] for i in range(3)) - determinant(A)
+
+
+def is_rational_square(q):
+    q = Fraction(q)
+    return q >= 0 and all(isqrt(n) ** 2 == n
+                          for n in (q.numerator, q.denominator))
+
+
+def qsign(a, b, d):
+    """Sign of a + b*sqrt(d) for rationals a, b and d > 0."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    gap = a * a - b * b * d
+    return sa * ((gap > 0) - (gap < 0))
+
+
+def endpoint_rays(g):
+    """The attracting and repelling light rays of a hyperbolic g, exactly.
+
+    Each is (u, v, d), the vector u + v*sqrt(d) with u, v rational.  The
+    eigenvalues are e = det A, nu and 1/nu with nu + 1/nu = t, and the
+    dominant one is nu = (t + sgn(t)*sqrt(d))/2 with d = t^2 - 4.  With
+    w = (A - e)*base, (A - e)(A - 1/nu)*base = u + v*sqrt(d) for
+    u = A w - t/2 w and v = sgn(t)/2 * w: the nu-ray, and u - v*sqrt(d)
+    the 1/nu-ray.  The base is timelike, so it lies on no light plane
+    through an eigenray and neither projection vanishes.  Each ray is
+    turned to the sheet of the base, (x, base) < 0.
+    """
+    f = binary_disc_form()
+    A = freeze(g)
+    e, t = determinant(A), trace_t(A)
+    d = t * t - 4
+    w = [x - e * y for x, y in zip(mat_vec(A, BASE), BASE)]
+    u = [x - Fraction(t, 2) * y for x, y in zip(mat_vec(A, w), w)]
+    sgn = 1 if t > 0 else -1
+    rays = []
+    for v in ([Fraction(sgn, 2) * y for y in w],
+              [Fraction(-sgn, 2) * y for y in w]):
+        flip = -1 if qsign(f.inner(u, BASE), f.inner(v, BASE), d) > 0 else 1
+        rays.append((tuple(flip * x for x in u), tuple(flip * x for x in v),
+                     d))
+    return rays
+
+
+def ray_inner(x, y):
+    """(alpha, beta) with (x, y) = alpha + beta*sqrt(d), for rays x, y
+    over the same d."""
+    f = binary_disc_form()
+    (u, v, d), (p, q, _) = x, y
+    return f.inner(u, p) + d * f.inner(v, q), f.inner(u, q) + f.inner(v, p)
+
+
+def same_ray(x, y):
+    """Light vectors of one sheet lie on one ray exactly when (x, y) = 0."""
+    return qsign(*ray_inner(x, y), x[2]) == 0
+
+
+def ray_side(x, a):
+    """Sign of (x, a) for a ray x and a rational normal a."""
+    u, v, d = x
+    f = binary_disc_form()
+    return qsign(f.inner(u, a), f.inner(v, a), d)
+
+
+def rational_ray(x, d):
+    return (tuple(x), (0, 0, 0), d)
+
+
 class TestTranslationAxis:
     def test_worked_generator(self):
-        ax = translation_axis(symmetric_square(M1))
-        assert ax.field_disc == 5
-        assert (ax.eigenvalue
-                - QuadraticNumber.make(Fraction(7, 2), Fraction(3, 2), 5)
-                ).sign() == 0
+        s1, s2 = symmetric_square(M1), symmetric_square(M2)
+        assert axis_normal(s1) == (1, -1, -1)
+        assert trace_t(s1) == 7
+        assert axis_normal(s2) == (1, 1, -1)
+        assert trace_t(s2) == 7
 
     def test_rays_are_isotropic_and_fixed(self):
-        s = symmetric_square(M2)
-        ax = translation_axis(s)
-        for ray, nu in [(ax.attracting, ax.eigenvalue),
-                        (ax.repelling, None)]:
-            b, a, c = ray[1], ray[0], ray[2]
-            assert (b * b - 4 * a * c).sign() == 0
-            image = []
-            for row in s:
-                acc = QuadraticNumber.make(0)
-                for x, coord in zip(row, ray):
-                    acc = acc + coord * Fraction(x)
-                image.append(acc)
-            nz = next(i for i in range(3) if ray[i].sign() != 0)
-            scale = image[nz] / ray[nz]
-            assert all((image[i] - scale * ray[i]).sign() == 0
-                       for i in range(3))
-            if nu is not None:
-                assert (scale - nu).sign() == 0
+        f = binary_disc_form()
+        for M in (M1, M2, ((3, 4), (2, 3)), ((1, 1), (1, 0)),
+                  ((-2, 1), (1, 0))):
+            s = symmetric_square(M)
+            c = axis_normal(s)
+            assert mat_vec(s, c) == tuple(determinant(s) * x for x in c)
+            t = trace_t(s)
+            sgn = 1 if t > 0 else -1
+            for (u, v, d), l1 in zip(endpoint_rays(s), (sgn, -sgn)):
+                # isotropic, on the axis plane c^perp, and an eigenvector
+                # for nu (attracting) or 1/nu (repelling), where
+                # nu = t/2 + l1/2 sqrt(d)
+                assert qsign(*ray_inner((u, v, d), (u, v, d)), d) == 0
+                assert f.inner(u, c) == 0 and f.inner(v, c) == 0
+                l0, l1 = Fraction(t, 2), Fraction(l1, 2)
+                assert mat_vec(s, u) == tuple(l0 * x + l1 * d * y
+                                              for x, y in zip(u, v))
+                assert mat_vec(s, v) == tuple(l0 * y + l1 * x
+                                              for x, y in zip(u, v))
 
     def test_attracting_and_repelling_are_distinct_rays(self):
-        ax = translation_axis(symmetric_square(M1))
-        r, s = ax.attracting, ax.repelling
-        assert any((r[i] * s[j] - r[j] * s[i]).sign() != 0
-                   for i in range(3) for j in range(3))
+        s = symmetric_square(M1)
+        # (c, c) > 0: the axis plane c^perp cuts the light cone in two rays
+        assert binary_disc_form().value(axis_normal(s)) > 0
+        att, rep = endpoint_rays(s)
+        assert qsign(*ray_inner(att, rep), att[2]) < 0
 
     def test_inverse_swaps_the_rays(self):
         s = symmetric_square(M1)
         si = mat_inverse(s)
-        ax, axi = translation_axis(s), translation_axis(si)
-        r, w = ax.attracting, axi.repelling
-        assert all((r[i] * w[j] - r[j] * w[i]).sign() == 0
-                   for i in range(3) for j in range(3))
+        assert axis_normal(si) == axis_normal(s)
+        (att, rep), (att_i, rep_i) = endpoint_rays(s), endpoint_rays(si)
+        assert same_ray(att, rep_i) and same_ray(rep, att_i)
 
     def test_irrational_middle_coordinate_names_the_field(self):
-        # the rays' outer coordinates are rational, the middle one is not
-        ax = translation_axis(symmetric_square(((3, 4), (2, 3))))
-        assert ax.field_disc == 2
-        assert (ax.eigenvalue - QuadraticNumber.make(17, 12, 2)).sign() == 0
+        # the endpoints x^2 -+ 2 sqrt(2) xy + 2y^2 lie over Q(sqrt(2)), and
+        # t^2 - 4 and (c, c) name that field
+        s = symmetric_square(((3, 4), (2, 3)))
+        c, t = axis_normal(s), trace_t(s)
+        assert c == (1, 0, -2) and t == 34
+        assert binary_disc_form().value(c) == 8
+        assert is_rational_square(Fraction(t * t - 4, 8))
 
     def test_rational_fixed_points(self):
         d = ((Fraction(4), 0, 0), (0, Fraction(1), 0),
              (0, 0, Fraction(1, 4)))
-        ax = translation_axis(d)
-        assert ax.field_disc == 0
-        assert [c.a for c in ax.attracting] == [1, 0, 0]
-        assert [c.a for c in ax.repelling] == [0, 0, 1]
+        assert axis_normal(d) == (0, 1, 0)
+        att, rep = endpoint_rays(d)
+        # t^2 - 4 = (15/4)^2, so sqrt(d) is rational here
+        assert same_ray(att, rational_ray((1, 0, 0), att[2]))
+        assert same_ray(rep, rational_ray((0, 0, 1), rep[2]))
 
     def test_cartan_involution_rejected(self):
         c = cartan_involution(binary_disc_form(), (1, 0, 1))
         with pytest.raises(NotHyperbolic):
-            translation_axis(c.matrix)
+            axis_normal(c)
 
     def test_reflection_rejected(self):
         r = reflection_matrix(binary_disc_form(), (0, 1, 0))
         with pytest.raises(NotHyperbolic):
-            translation_axis(r)
+            axis_normal(r)
 
     def test_identity_rejected(self):
         with pytest.raises(NotHyperbolic):
-            translation_axis(identity(3))
+            axis_normal(identity(3))
 
     def test_wrong_form_rejected(self):
         L = orthogonal_sum(hyperbolic_plane(), GramForm(((2,),)))
         g = mat_mul(cartan_involution(L, (1, -1, 0)).matrix,
                     cartan_involution(L, (1, -2, 1)).matrix)
         with pytest.raises(UnsupportedBoundary):
-            translation_axis(g)
+            axis_normal(g)
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(UnsupportedBoundary):
-            translation_axis(identity(4))
+            axis_normal(identity(4))
 
 
 def scaled_square(M):
@@ -265,9 +317,9 @@ TRIANGULAR = [
 
 
 def side(x, a):
-    """(x, a) for an integral normal a and x rational or in Q(sqrt(d))."""
+    """(x, a) for an integral normal a and a rational x."""
     ga = mat_vec(binary_disc_form().matrix, a)
-    return sum((xi * gi for xi, gi in zip(x, ga)), QuadraticNumber.make(0))
+    return sum(xi * gi for xi, gi in zip(x, ga))
 
 
 def orbit_points(cert, g1, g2):
@@ -278,7 +330,7 @@ def orbit_points(cert, g1, g2):
         h = _mat_pow(freeze(g), cert.m)
         for s in (h, mat_inverse(h)):
             y = mat_vec(s, cert.base)
-            if side(y, cert.base).sign() > 0:
+            if side(y, cert.base) > 0:
                 y = tuple(-t for t in y)
             points.append(y)
     return points
@@ -299,7 +351,7 @@ def check_normals(cert, g1, g2):
     x0 = cert.base
     assert x0 == (1, 1, 1)
     for y, a in zip(orbit_points(cert, g1, g2), cert.normals):
-        assert side(x0, a).sign() < 0
+        assert side(x0, a) < 0
         d = [t - b for t, b in zip(y, x0)]
         assert all(d[i] * a[j] == d[j] * a[i]
                    for i in range(3) for j in range(3))
@@ -310,10 +362,10 @@ def check_axis_rays(cert, g1, g2):
     """The attracting ray of g lies in the half-space of g^m and outside
     that of g^-m; the repelling ray lies in the half-space of g^-m."""
     for g, plus, minus in ((g1, 0, 1), (g2, 2, 3)):
-        ax = translation_axis(g)
-        assert side(ax.attracting, cert.normals[plus]).sign() > 0
-        assert side(ax.attracting, cert.normals[minus]).sign() < 0
-        assert side(ax.repelling, cert.normals[minus]).sign() > 0
+        att, rep = endpoint_rays(g)
+        assert ray_side(att, cert.normals[plus]) > 0
+        assert ray_side(att, cert.normals[minus]) < 0
+        assert ray_side(rep, cert.normals[minus]) > 0
 
 
 def check_certificate(cert, g1, g2):
@@ -371,15 +423,6 @@ def fixed_point_resultant(M1, M2):
             - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1))
 
 
-def squarefree_part(n):
-    k = 2
-    while k * k <= n:
-        while n % (k * k) == 0:
-            n //= k * k
-        k += 1
-    return n
-
-
 GL2_6 = [((p, q), (r, s)) for p, q, r, s in product(range(-6, 7), repeat=4)
          if p * s - q * r in (1, -1)]
 
@@ -411,9 +454,11 @@ def test_trace_rule_and_shared_endpoints_match_the_2x2_oracle(pair):
     else:
         assert raised in (None, SearchExhausted)
     for M in filter(hyperbolic2, pair):
+        # the axis normal is the fixed-point quadratic of M, up to sign
         (p, q), (r, s) = M
-        assert translation_axis(symmetric_square(M)).field_disc == \
-            squarefree_part((p + s) ** 2 - 4 * (p * s - q * r))
+        want = primitive_part((r, s - p, -q))
+        assert axis_normal(symmetric_square(M)) in (
+            want, tuple(-x for x in want))
 
 
 @st.composite
@@ -444,11 +489,11 @@ def test_no_point_lies_in_two_half_spaces(g1, g2, points, chords):
     for a, b in combinations(cert.normals, 2):
         (p, q, r), (u, v, w) = mat_vec(G, a), mat_vec(G, b)
         x = (q * w - r * v, r * u - p * w, p * v - q * u)
-        if side(x, x).sign() < 0:
+        if side(x, x) < 0:
             points.append(x if x[0] > 0 else tuple(-t for t in x))
     for x in points:
-        assert side(x, x).sign() < 0
-        inside = [a for a in cert.normals if side(x, a).sign() >= 0]
+        assert side(x, x) < 0
+        inside = [a for a in cert.normals if side(x, a) >= 0]
         assert len(inside) <= 1
 
 
@@ -550,6 +595,13 @@ class TestSchottky:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(UnsupportedBoundary):
             schottky_certify(identity(4), identity(4))
+
+    def test_non_isometry_outranks_the_trace_rule(self):
+        # both generators are checked as isometries before either trace
+        # rule, so a bad g2 is an input error even beside an elliptic g1
+        rot = symmetric_square(((0, -1), (1, 0)))
+        with pytest.raises(UnsupportedBoundary):
+            schottky_certify(rot, ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
 
 
 def reference_words_audit(a, b, max_len=6):
